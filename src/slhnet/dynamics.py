@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
 from .envelopes import ConstantAmplitude, Envelope, as_envelope
@@ -39,6 +40,9 @@ from .hilbert import (
     TRUNC_GUARD,
     LabeledSpace,
     Operator,
+    _compose_coeffs,
+    _conj_coeff,
+    _factor,
     commutator,
     make_elementary,
 )
@@ -50,23 +54,15 @@ TOL_TRACE = 1e-8
 #: tolerance on the most negative eigenvalue of rho
 TOL_POSITIVITY = 1e-8
 
+#: relative bound on the smallest singular value of the trace-constrained Liouvillian
+STEADY_SINGULARITY_TOL = 1e-12
+
+#: relative bound on the steady-state residual |L rho|
+STEADY_RESIDUAL_TOL = 1e-10
+
 #: default integrator tolerances (embedded Runge-Kutta 4(5))
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-8
-
-
-def _conj_coeff(f):
-    if f is None:
-        return None
-    return lambda t, f=f: np.conj(f(t))
-
-
-def _mul_coeffs(f, g):
-    if f is None:
-        return g
-    if g is None:
-        return f
-    return lambda t, f=f, g=g: f(t) * g(t)
 
 
 # --------------------------------------------------------------------------
@@ -234,7 +230,7 @@ def _sandwich(space: LabeledSpace, A: Operator, B: Operator) -> Superoperator:
             mat = sp.kron(ma, mb.T, format="csr")
             if not mat.nnz:
                 continue
-            coeff = _mul_coeffs(ca, cb)
+            coeff = _compose_coeffs(ca, cb)
             if coeff is None:
                 static = mat if static is None else static + mat
             else:
@@ -887,41 +883,39 @@ def evolve_hierarchy(
 
 
 def steady_state(generator: Superoperator) -> DensityState:
-    """Unit-trace null vector of a time-independent Liouvillian."""
+    """Unit-trace null vector of a time-independent Liouvillian.
+
+    The Liouvillian's first row (redundant by trace preservation) becomes
+    the trace functional, and ``A rho = e_0`` is solved from one sparse LU
+    of ``A``, as in QuTiP's "direct" ``steadystate``.  A singular factor,
+    or an estimated smallest singular value of ``A`` below
+    ``STEADY_SINGULARITY_TOL * ||A||_1``, means the null space is not
+    one-dimensional; a residual ``||L rho||`` above
+    ``STEADY_RESIDUAL_TOL * ||A||_1`` means it is trivial.  Both raise
+    :class:`SteadyStateError`.
+    """
     if not generator.is_static:
         raise UnsupportedConfigurationError("steady state needs a time-independent generator")
     M = generator.static
     d = generator.dim
-    null_tol_floor = 1e-10
-    if M.shape[0] <= 4096:
-        dense = M.toarray()
-        u, s, vh = np.linalg.svd(dense)
-        scale = s[0] if s.size and s[0] > 0 else 1.0
-        thresh = max(null_tol_floor, 1e-12 * scale)
-        null_dim = int(np.sum(s < thresh))
-        if null_dim == 0:
-            raise SteadyStateError("no steady state: Liouvillian has trivial null space")
-        if null_dim > 1:
-            raise SteadyStateError(
-                f"non-unique steady state: null space dimension {null_dim}"
-            )
-        vec = vh[-1].conj()
-    else:
-        import scipy.sparse.linalg as spla
-
-        vals, vecs = spla.eigs(M.tocsc(), k=2, sigma=0.0, which="LM")
-        order = np.argsort(np.abs(vals))
-        if abs(vals[order[0]]) > 1e-8:
-            raise SteadyStateError("no steady state found near zero eigenvalue")
-        if abs(vals[order[1]]) < 1e-10:
-            raise SteadyStateError("non-unique steady state: null space dimension >= 2")
-        vec = vecs[:, order[0]]
+    trace_row = sp.csr_matrix((np.ones(d), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))), shape=(1, d * d))
+    A = sp.vstack([trace_row, M[1:]], format="csc")
+    scale = max(1.0, spla.norm(A, 1))
+    lu, smallest = _factor(A)
+    if smallest < STEADY_SINGULARITY_TOL * scale:
+        raise SteadyStateError(
+            "non-unique steady state: null space dimension is not 1 "
+            f"(trace-constrained Liouvillian is singular, estimated smallest singular value {smallest:.3e})"
+        )
+    vec = lu.solve(np.eye(1, d * d, dtype=np.complex128)[0])
+    resid = np.linalg.norm(M @ vec)
+    if resid > STEADY_RESIDUAL_TOL * scale:
+        raise SteadyStateError(
+            f"no steady state: Liouvillian has trivial null space (residual |L rho| = {resid:.3e})"
+        )
     rho = vec.reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho)
-    if abs(tr) < 1e-14:
-        raise SteadyStateError("null vector is traceless; no physical steady state")
-    rho = rho / tr
+    rho = rho / np.trace(rho)
     return DensityState(Operator(generator.space, rho), 0.0)
 
 

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import ConstructionError, SpaceError
 
@@ -547,6 +548,39 @@ def top_level_populations(rho: Operator, oscillator_labels: Iterable[str] | None
 def trace(op: Operator, t: float | None = None) -> complex:
     m = op.static if (t is None and op.is_static) else op.at(t or 0.0)
     return complex(m.diagonal().sum())
+
+
+# --------------------------------------------------------------------------
+# sparse factorization
+
+#: inverse-iteration steps behind the smallest-singular-value estimate
+_FACTOR_STEPS = 3
+
+
+def _factor(A) -> tuple[spla.SuperLU | None, float]:
+    """Sparse LU of ``A`` and an upper-bound estimate of its smallest singular value.
+
+    The estimate takes ``_FACTOR_STEPS`` inverse-iteration steps on
+    ``(A A^dag)^-1`` through the factors from a fixed-seed random start; an
+    all-ones start can be orthogonal to the null vector (as for
+    ``I + [[0, 1], [1, 0]]``) and miss it.  An exactly singular or
+    overflowing factorization gives ``(None, 0.0)``.
+    """
+    A = sp.csc_matrix(A, dtype=np.complex128)
+    try:
+        lu = spla.splu(A)
+    except RuntimeError:  # "Factor is exactly singular"
+        return None, 0.0
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+    v /= np.linalg.norm(v)
+    for _ in range(_FACTOR_STEPS):
+        w = lu.solve(lu.solve(v), trans="H")
+        growth = np.linalg.norm(w)
+        if not np.isfinite(growth) or growth == 0.0:
+            return None, 0.0
+        v = w / growth
+    return lu, float(1.0 / np.sqrt(growth))
 
 
 # --------------------------------------------------------------------------

@@ -26,13 +26,13 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import AlgebraicLoopError, CompositionError, ConstructionError
 from .hilbert import (
     TOL_OP,
     LabeledSpace,
     Operator,
+    _factor,
     identity,
     op_close,
     operator_from_dict,
@@ -108,7 +108,9 @@ class SLHTriple:
         self.check_tol = float(tol)
 
         if check:
-            self._check_unitarity(tol)
+            resid = self.unitarity_residual()
+            if resid > tol:
+                raise CompositionError(f"scattering matrix is not unitary: residual {resid:.3e}")
             H = _symmetrized(H, tol)
         self.H = H
 
@@ -121,18 +123,6 @@ class SLHTriple:
             return sp.csr_matrix((0, 0), dtype=np.complex128)
         blocks = [[self.S[i, j].constant() for j in range(n)] for i in range(n)]
         return sp.bmat(blocks, format="csr")
-
-    def _check_unitarity(self, tol: float) -> None:
-        n, d = self.n_ports, self.space.total_dim
-        if n == 0:
-            return
-        big = self.scattering_matrix()
-        eye = sp.identity(n * d, dtype=np.complex128, format="csr")
-        for resid in (big.conj().T @ big - eye, big @ big.conj().T - eye):
-            if resid.nnz and np.abs(resid.data).max() > tol:
-                raise CompositionError(
-                    f"scattering matrix is not unitary: residual {np.abs(resid.data).max():.3e}"
-                )
 
     def unitarity_residual(self) -> float:
         n, d = self.n_ports, self.space.total_dim
@@ -284,9 +274,7 @@ def permutation_triple(sigma: Sequence[int], space: LabeledSpace | None = None) 
 
 
 def _inherit_tol(*gs: SLHTriple) -> float:
-    from .hilbert import TOL_OP as _t
-
-    return max([_t] + [g.check_tol for g in gs])
+    return max([TOL_OP] + [g.check_tol for g in gs])
 
 
 def series(g2: SLHTriple, g1: SLHTriple, check: bool = True) -> SLHTriple:
@@ -443,14 +431,8 @@ def _row_dot(S: np.ndarray, i: int, L: Sequence[Operator]) -> Operator:
     return acc
 
 
-def _block_matrix(grid: np.ndarray, rows: Sequence[int], cols: Sequence[int], d: int) -> sp.csr_matrix:
-    """Stack operator entries (static) into one sparse block matrix."""
-    blocks = [[grid[i, j].constant() for j in cols] for i in rows]
-    return sp.bmat(blocks, format="csc") if rows and cols else sp.csc_matrix((len(rows) * d, len(cols) * d))
-
-
-def _solve_loop(loop: sp.spmatrix, rhs: sp.spmatrix, k: int, d: int):
-    """X = loop^-1 rhs with loop = I - S_xy.
+def _solve_loop(loop: sp.spmatrix, rhs: sp.spmatrix) -> sp.csr_matrix:
+    """X = loop^-1 rhs with loop = I - S_xy, from one sparse LU of the loop.
 
     A singular loop operator is still acceptable when the circulating
     channel carries nothing, i.e. the right-hand side is consistent; a
@@ -458,29 +440,18 @@ def _solve_loop(loop: sp.spmatrix, rhs: sp.spmatrix, k: int, d: int):
     solution).  An inconsistent singular loop is genuinely ill posed
     (energy would pile up in an undamped circulating mode) and raises.
     """
-    dense_dim = loop.shape[0]
-    if dense_dim <= 4096:
-        sv = np.linalg.svd(loop.toarray(), compute_uv=False)
-        smallest = sv[-1] if sv.size else 0.0
-    else:
-        try:
-            smallest = spla.svds(loop.tocsc(), k=1, which="SM", return_singular_vectors=False)[0]
-        except Exception:
-            sv = np.linalg.svd(loop.toarray(), compute_uv=False)
-            smallest = sv[-1] if sv.size else 0.0
-    if smallest >= LOOP_SINGULARITY_TOL:
-        x = spla.spsolve(loop.tocsc(), rhs.tocsc())
-        if not sp.issparse(x):
-            x = sp.csc_matrix(np.atleast_2d(x).reshape(rhs.shape) if x.ndim == 1 else x)
-        return x.tocsr()
+    lu, smallest = _factor(loop)
     dense_rhs = rhs.toarray()
-    x, *_ = np.linalg.lstsq(loop.toarray(), dense_rhs, rcond=LOOP_SINGULARITY_TOL)
-    resid = np.abs(loop.toarray() @ x - dense_rhs).max() if dense_rhs.size else 0.0
-    scale = 1.0 + (np.abs(dense_rhs).max() if dense_rhs.size else 0.0)
+    if smallest >= LOOP_SINGULARITY_TOL:
+        return sp.csr_matrix(lu.solve(dense_rhs))
+    dense_loop = loop.toarray()
+    x, *_ = np.linalg.lstsq(dense_loop, dense_rhs, rcond=LOOP_SINGULARITY_TOL)
+    resid = np.abs(dense_loop @ x - dense_rhs).max()
+    scale = 1.0 + np.abs(dense_rhs).max()
     if resid > 1e-10 * scale:
         raise AlgebraicLoopError(
             "ill-posed algebraic loop: (I - S_xy) is singular "
-            f"(smallest singular value {smallest:.3e}) and the loop carries signal "
+            f"(estimated smallest singular value {smallest:.3e}) and the loop carries signal "
             f"(residual {resid:.3e})"
         )
     return sp.csr_matrix(x)
@@ -494,6 +465,11 @@ def feedback_multi(g: SLHTriple, wiring, check: bool = True) -> FeedbackResult:
     survivors are re-packed keeping their relative order.  The result is
     independent of the order in which the links would be closed one by
     one.
+
+    ``I - S_xy`` is factored once by sparse LU, which solves both ``L_x``
+    and ``S_x,ybar``; it is singular when its smallest singular value,
+    estimated by inverse iteration through the factors, is below
+    ``LOOP_SINGULARITY_TOL``.
     """
     pairs = wiring.pairs if isinstance(wiring, PortMap) else PortMap.of(wiring).pairs
     PortMap(pairs).validate(g.n_ports)
@@ -513,21 +489,15 @@ def feedback_multi(g: SLHTriple, wiring, check: bool = True) -> FeedbackResult:
     m = len(xbar)
     space = g.space
 
-    S_xy = _block_matrix(g.S, xs, ys, d)
-    loop = sp.identity(k * d, dtype=np.complex128, format="csc") - S_xy
-
-    L_x = sp.bmat([[g.L[i].constant() if g.L[i].is_static else None] for i in xs], format="csc") \
-        if all(g.L[i].is_static for i in xs) else None
-    if L_x is None:
+    if not all(g.L[i].is_static for i in xs):
         raise CompositionError("feedback through time-dependent couplings is not supported")
-
-    inv_L = _solve_loop(loop, L_x, k, d)  # (I - S_xy)^-1 L_x, stacked k blocks
-
-    if m:
-        S_xybar = _block_matrix(g.S, xs, ybar, d)
-        inv_S = _solve_loop(loop, S_xybar, k, d)  # (I - S_xy)^-1 S_x,ybar
-    else:
-        inv_S = None
+    S_xy = sp.bmat([[g.S[i, j].constant() for j in ys] for i in xs])
+    loop = sp.identity(k * d, dtype=np.complex128) - S_xy
+    # both right-hand sides [L_x | S_x,ybar] share the one factorization
+    rhs = sp.bmat([[g.L[i].constant()] + [g.S[i, j].constant() for j in ybar] for i in xs])
+    inv = _solve_loop(loop, rhs)
+    inv_L = inv[:, :d]  # (I - S_xy)^-1 L_x, stacked k blocks
+    inv_S = inv[:, d:]  # (I - S_xy)^-1 S_x,ybar
 
     def block(mat, i):
         return mat[i * d : (i + 1) * d, :]

@@ -1,0 +1,209 @@
+"""The sparse solve core behind feedback reduction and steady states.
+
+Every reference here is computed with dense numpy inside the test, so
+the sparse-LU paths are checked against an independent oracle rather
+than against themselves.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
+
+from conftest import random_hermitian, random_unitary
+
+from slhnet.cli import main
+from slhnet.components import one_sided_cavity
+from slhnet.dynamics import (
+    GaussianEnv,
+    Superoperator,
+    liouvillian,
+    liouvillian_coherent,
+    liouvillian_gaussian,
+    steady_state,
+)
+from slhnet.errors import AlgebraicLoopError, SteadyStateError
+from slhnet.hilbert import LabeledSpace, Operator, _factor, destroy, number
+from slhnet.slh import LOOP_SINGULARITY_TOL, SLHTriple, feedback_multi, series
+
+
+def _dense_feedback(g: SLHTriple, xs, ys):
+    """(S, L, H) of feedback_multi from the Gough-James formulas, densely."""
+    n, d = g.n_ports, g.space.total_dim
+    big = np.block([[g.S[i, j].constant().toarray() for j in range(n)] for i in range(n)])
+    Ls = [x.constant().toarray() for x in g.L]
+
+    def rows(idx):
+        return np.concatenate([np.arange(i * d, (i + 1) * d) for i in idx])
+
+    xbar = [i for i in range(n) if i not in xs]
+    ybar = [j for j in range(n) if j not in ys]
+    inv = np.linalg.inv(np.eye(len(xs) * d) - big[np.ix_(rows(xs), rows(ys))])
+    L_x = np.vstack([Ls[i] for i in xs])
+    S_red = big[np.ix_(rows(xbar), rows(ybar))] + big[np.ix_(rows(xbar), rows(ys))] @ inv @ big[np.ix_(rows(xs), rows(ybar))]
+    L_red = np.vstack([Ls[i] for i in xbar]) + big[np.ix_(rows(xbar), rows(ys))] @ inv @ L_x
+    M = np.hstack([L.conj().T for L in Ls]) @ big[:, rows(ys)] @ inv @ L_x
+    H_red = g.H.constant().toarray() + (M - M.conj().T) / 2j
+    return S_red, L_red, H_red
+
+
+def _reduced_blocks(red: SLHTriple):
+    m = red.n_ports
+    S = np.block([[red.S[i, j].constant().toarray() for j in range(m)] for i in range(m)])
+    L = np.vstack([x.constant().toarray() for x in red.L])
+    return S, L, red.H.constant().toarray()
+
+
+def _near_singular_loop(c: float, signal: float) -> SLHTriple:
+    """Four scalar ports whose 2x2 loop block is S_xy = -c [[0, 1], [1, 0]].
+
+    I - S_xy has smallest singular value 1 - c along (1, -1), which is
+    orthogonal to all-ones.  ``signal`` sets the coupling of the mode
+    along that null vector.
+    """
+    A = -c * np.array([[0.0, 1.0], [1.0, 0.0]])
+    b = np.sqrt(1.0 - c * c) * np.eye(2)
+    U = np.block([[A, b], [b, -A]])  # unitary dilation of the Hermitian contraction A
+    a = destroy("m", 3)
+    L = [0.5 * a + signal * a, 0.5 * a - signal * a, 0.3 * a, 0.0 * a]
+    return SLHTriple(U.tolist(), L, 0.2 * a.dag() * a)
+
+
+class TestFactor:
+    # an all-ones start vector is an exact singular vector of these
+    # matrices, so only round-off would steer it to the small one
+    @pytest.mark.parametrize("eps", [1e-2, 3e-9])
+    def test_estimate_finds_null_vector_orthogonal_to_ones(self, eps):
+        loop = sp.csc_matrix(np.array([[1.0, 1.0 - eps], [1.0 - eps, 1.0]]))
+        lu, smallest = _factor(sp.kron(loop, sp.identity(4)))
+        assert lu is not None
+        assert eps <= smallest < 1.01 * eps
+
+    def test_exactly_singular_maps_to_zero(self):
+        assert _factor(sp.csc_matrix((3, 3), dtype=complex)) == (None, 0.0)
+
+    def test_estimate_is_deterministic(self, rng):
+        A = sp.csc_matrix(rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30)))
+        assert _factor(A)[1] == _factor(A)[1]
+        smin = np.linalg.svd(A.toarray(), compute_uv=False)[-1]
+        assert smin <= _factor(A)[1] < 1.5 * smin
+
+
+class TestLoopSolve:
+    def test_operator_valued_two_wire_loop(self, rng):
+        # S = diag(P, P^2, 1) (U x 1) with the Fock-diagonal phase P = exp(i theta a^dag a)
+        dim = 5
+        a = destroy("m", dim)
+        P = sla.expm(0.7j * number("m", dim).constant().toarray())
+        U = random_unitary(rng, 3)
+        phases = [P, P @ P, np.eye(dim)]
+        S = [[Operator(a.space, U[i, j] * phases[i]) for j in range(3)] for i in range(3)]
+        L = [(rng.normal() + 1j * rng.normal()) * a + rng.normal() * a.dag() for _ in range(3)]
+        g = SLHTriple(S, L, random_hermitian(rng, a.space))
+        assert not np.allclose(g.S[0, 0].constant().toarray(), U[0, 0] * np.eye(dim))
+
+        red = feedback_multi(g, [(1, 1), (2, 2)]).triple
+        for got, want in zip(_reduced_blocks(red), _dense_feedback(g, [0, 1], [0, 1])):
+            assert np.abs(got - want).max() < 1e-10
+
+    def test_crossed_operator_loop(self, rng):
+        dim = 4
+        a = destroy("m", dim)
+        P = sla.expm(-1.1j * number("m", dim).constant().toarray())
+        U = random_unitary(rng, 3)
+        S = [[Operator(a.space, U[i, j] * (P if j == 2 else np.eye(dim))) for j in range(3)] for i in range(3)]
+        L = [0.4 * a, (0.3 - 0.2j) * a, 0.1 * a.dag()]
+        g = SLHTriple(S, L, 0.3 * a.dag() * a)
+        red = feedback_multi(g, [(2, 3), (3, 2)]).triple
+        for got, want in zip(_reduced_blocks(red), _dense_feedback(g, [1, 2], [2, 1])):
+            assert np.abs(got - want).max() < 1e-10
+
+    def test_near_singular_loop_with_signal_raises(self):
+        g = _near_singular_loop(1.0 - 0.5 * LOOP_SINGULARITY_TOL, signal=0.5)
+        with pytest.raises(AlgebraicLoopError, match="algebraic loop"):
+            feedback_multi(g, [(1, 1), (2, 2)])
+
+    def test_exactly_singular_loop_with_signal_raises(self):
+        g = _near_singular_loop(1.0, signal=0.5)
+        with pytest.raises(AlgebraicLoopError, match="algebraic loop"):
+            feedback_multi(g, [(1, 1), (2, 2)])
+
+    def test_loop_just_above_tolerance_composes(self):
+        g = _near_singular_loop(1.0 - 2.0 * LOOP_SINGULARITY_TOL, signal=0.0)
+        red = feedback_multi(g, [(1, 1), (2, 2)]).triple
+        for got, want in zip(_reduced_blocks(red), _dense_feedback(g, [0, 1], [0, 1])):
+            assert np.abs(got - want).max() < 1e-6 * max(1.0, np.abs(want).max())
+
+
+def _dense_null_state(gen: Superoperator) -> np.ndarray:
+    """Unit-trace null vector of the Liouvillian from a dense SVD."""
+    _, s, vh = np.linalg.svd(gen.static.toarray())
+    assert s[-1] < 1e-10 * s[0] < s[-2]  # one-dimensional null space
+    d = gen.dim
+    rho = vh[-1].conj().reshape(d, d)
+    return rho / np.trace(rho)
+
+
+class TestSteadyStateOracle:
+    def _check(self, gen):
+        rho = steady_state(gen).rho.constant().toarray()
+        assert np.abs(rho - _dense_null_state(gen)).max() < 1e-10
+        assert np.linalg.norm(gen.static @ rho.reshape(-1)) < 1e-12
+
+    def test_driven_cavity(self):
+        self._check(liouvillian_coherent(one_sided_cavity(1.5, 0.4, truncation=12, label="c"), 0.6 - 0.2j))
+
+    def test_driven_cascade(self):
+        c1 = one_sided_cavity(2.0, 0.5, truncation=5, label="c1")
+        c2 = one_sided_cavity(3.0, -0.7, truncation=5, label="c2")
+        self._check(liouvillian_coherent(series(c2, c1), 0.3 + 0.1j))
+
+    def test_thermal_squeezed_cavity(self):
+        cav = one_sided_cavity(1.0, 0.2, truncation=20, label="c")
+        self._check(liouvillian_gaussian(cav, GaussianEnv(N=0.1, M=0.05)))
+
+
+class TestSteadyStateContract:
+    def test_zero_generator_reports_dimension(self):
+        # d^2 = 4225, above the size where a dense SVD used to decide this
+        with pytest.raises(SteadyStateError, match="dimension"):
+            steady_state(Superoperator(LabeledSpace([("c", 65)])))
+
+    def test_trivial_null_space_reported(self):
+        space = LabeledSpace([("c", 3)])
+        gen = Superoperator(space, static=-sp.identity(9, dtype=complex, format="csr"))
+        with pytest.raises(SteadyStateError, match="trivial null space"):
+            steady_state(gen)
+
+    def test_degenerate_null_space_without_exact_zero_pivot(self, rng):
+        # two dark levels of a three-level system, mixed by a generic H:
+        # SuperLU finds no exactly zero pivot, the singular-value estimate does
+        space = LabeledSpace([("q", 3)])
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        h = np.zeros((3, 3), dtype=complex)
+        h[:2, :2] = m + m.conj().T
+        jumps = [Operator(space, sp.coo_matrix(([w], ([k], [2])), shape=(3, 3))) for k, w in ((0, 1.0), (1, 0.7))]
+        gen = liouvillian(SLHTriple([[1, 0], [0, 1]], jumps, Operator(space, h)))
+        with pytest.raises(SteadyStateError, match="dimension"):
+            steady_state(gen)
+
+
+class TestSizeIndependence:
+    @pytest.mark.parametrize("truncation", [64, 65])  # d^2 = 4096 and 4225
+    def test_driven_cavity_amplitude(self, truncation):
+        gamma, delta, alpha = 1.2, 0.3, 0.5 + 0.25j
+        gen = liouvillian_coherent(one_sided_cavity(gamma, delta, truncation=truncation, label="c"), alpha)
+        want = -np.sqrt(gamma) * alpha / (gamma / 2 + 1j * delta)
+        assert abs(steady_state(gen).expect(destroy("c", truncation)) - want) < 1e-8
+
+    def test_ill_posed_wire_exits_3(self, tmp_path, capsys):
+        # the ill-posed wire of test_cli, at a larger truncation
+        f = tmp_path / "bad_wire.qnet"
+        f.write_text(
+            "component p = phase_shifter(phi=0.0);\n"
+            "component c = one_sided_cavity(gamma=1.0, truncation=65);\n"
+            "wire c.out[1] -> p.in[1];\n"
+            "wire p.out[1] -> c.in[1];"
+        )
+        assert main(["compose", str(f)]) == 3
+        assert "algebraic loop" in capsys.readouterr().err
