@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .envelopes import Envelope
 from .errors import ElaborationError, ParseError, SLHNetError
-from .hilbert import Operator, destroy, identity, sigma_minus
+from .hilbert import TRUNC_GUARD, Operator, destroy, identity, sigma_minus
 from .dynamics import (
     GaussianEnv,
     DEFAULT_ATOL,
@@ -205,29 +205,24 @@ def _write(text: str, out: str | None):
             fh.write(text)
 
 
-def _apply_config(args, parser):
-    """key=value config file; values already on the command line win."""
-    if not getattr(args, "config", None):
-        return args
-    defaults = {}
-    with open(args.config, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SLHNetError(f"bad config line (need key=value): {line!r}")
-            key, val = line.split("=", 1)
-            defaults[key.strip().replace("-", "_")] = val.strip().strip('"')
-    for key, val in defaults.items():
-        if hasattr(args, key) and parser.get_default(key) == getattr(args, key):
-            cur = parser.get_default(key)
-            if isinstance(cur, float):
-                val = float(val)
-            elif isinstance(cur, int) and not isinstance(cur, bool):
-                val = int(val)
-            setattr(args, key, val)
-    return args
+def _drives_and_observables(args, space):
+    """``--drive port=spec`` items and ``--observables`` (name -> expression)."""
+    drives = {}
+    for spec in args.drive or []:
+        if "=" not in spec:
+            raise SLHNetError(f"--drive needs port=spec, got {spec!r}")
+        label, rhs = spec.split("=", 1)
+        drives[label.strip()] = parse_drive_spec(rhs.strip())
+    observables = (
+        {expr.strip(): expr.strip() for expr in args.observables.split(",")}
+        if args.observables
+        else default_observables(space)
+    )
+    return drives, observables
+
+
+def _resolve_observables(observables, space) -> dict[str, Operator]:
+    return {name: resolve_observable(expr, space, set(space.labels)) for name, expr in observables.items()}
 
 
 # --------------------------------------------------------------------------
@@ -277,15 +272,15 @@ def _build_generator(res, drives):
 def _run_simulation(res, args, drives, observables):
     t_eval = np.linspace(args.t0, args.t1, args.samples)
     mode, gen = _build_generator(res, drives)
-    obs_ops = {name: resolve_observable(expr, res.triple.space, set(res.triple.space.labels))
-               for name, expr in observables.items()}
+    obs_ops = _resolve_observables(observables, res.triple.space)
+    limit = None if args.no_guard else args.trunc_guard
     columns: dict[str, list] = {}
     if mode == "density":
         traj = evolve_density(
             gen, res.initial_state, (args.t0, args.t1), t_eval,
             observables=obs_ops, method=args.method, dt=args.dt,
             atol=args.atol, rtol=args.rtol,
-            truncation_guard=None if args.no_guard else args.trunc_guard,
+            truncation_guard=limit,
         )
         for name in observables:
             columns[name] = list(traj.expectations[name])
@@ -294,7 +289,7 @@ def _run_simulation(res, args, drives, observables):
         times, states = evolve_hierarchy(
             gen, res.initial_state, (args.t0, args.t1), t_eval,
             method=args.method, dt=args.dt, atol=args.atol, rtol=args.rtol,
-            truncation_guard=None if args.no_guard else args.trunc_guard,
+            truncation_guard=limit,
         )
         for name, op in obs_ops.items():
             columns[name] = [s.expect(op) for s in states]
@@ -304,17 +299,7 @@ def _run_simulation(res, args, drives, observables):
 
 def cmd_simulate(args) -> int:
     res = _compose(args.file)
-    drives = {}
-    for spec in args.drive or []:
-        if "=" not in spec:
-            raise SLHNetError(f"--drive needs port=spec, got {spec!r}")
-        label, rhs = spec.split("=", 1)
-        drives[label.strip()] = parse_drive_spec(rhs.strip())
-    observables = (
-        {expr.strip(): expr.strip() for expr in args.observables.split(",")}
-        if args.observables
-        else default_observables(res.triple.space)
-    )
+    drives, observables = _drives_and_observables(args, res.triple.space)
 
     def emit(times, columns, out_path):
         meta = {
@@ -362,23 +347,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_steady_state(args) -> int:
     res = _compose(args.file)
-    drives = {}
-    for spec in args.drive or []:
-        label, rhs = spec.split("=", 1)
-        drives[label.strip()] = parse_drive_spec(rhs.strip())
+    drives, observables = _drives_and_observables(args, res.triple.space)
     mode, gen = _build_generator(res, drives)
     if mode != "density":
         raise SLHNetError("steady-state supports vacuum, coherent and gaussian drives only")
     ss = steady_state(gen)
-    observables = (
-        {expr.strip(): expr.strip() for expr in args.observables.split(",")}
-        if args.observables
-        else default_observables(res.triple.space)
-    )
-    lines = []
-    for name, expr in observables.items():
-        op = resolve_observable(expr, res.triple.space, set(res.triple.space.labels))
-        lines.append(f"{name},{format_value(ss.expect(op))}")
+    lines = [
+        f"{name},{format_value(ss.expect(op))}"
+        for name, op in _resolve_observables(observables, res.triple.space).items()
+    ]
     _write("observable,value\n" + "\n".join(lines) + "\n", args.output)
     return 0
 
@@ -458,15 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_observables=True):
+    def common(p):
         p.add_argument("file", help=".qnet network description")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        p.add_argument("--config", default=None, help="key=value config file (flags win)")
-        if with_observables:
-            p.add_argument("--observables", default=None,
-                           help="comma-separated operator expressions, e.g. 'cav.n,atom.sz'")
-            p.add_argument("--drive", action="append", default=None,
-                           help="port=spec, e.g. drive=coherent(alpha=0.5)")
+        p.add_argument("--observables", default=None,
+                       help="comma-separated operator expressions, e.g. 'cav.n,atom.sz'")
+        p.add_argument("--drive", action="append", default=None,
+                       help="port=spec, e.g. drive=coherent(alpha=0.5)")
 
     p = sub.add_parser("compose", help="parse and elaborate a network to one triple")
     p.add_argument("file")
@@ -483,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=None, help="step size for --method fixed")
     p.add_argument("--atol", type=float, default=DEFAULT_ATOL)
     p.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
-    p.add_argument("--trunc-guard", type=float, default=1e-6)
+    p.add_argument("--trunc-guard", type=float, default=TRUNC_GUARD)
     p.add_argument("--no-guard", action="store_true")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--sweep", default=None, help="inst.param=lo:hi:n parameter sweep")
@@ -519,8 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if hasattr(args, "config"):
-        args = _apply_config(args, ap)
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -9,17 +9,24 @@ Master equations act on the vectorized density matrix (row-major
 * ``fock_hierarchy``         -- coupled generalized-state equations for
                                 Fock-state wavepacket inputs
 
-plus Heisenberg-picture coefficient extraction, input-output structure,
-an adaptive/fixed-step integrator with trace and truncation guards, and
-a null-space steady-state solver.
-"""
+A drive amplitude alpha(t) on port j always enters through the series
+product of the displacement source with the network,
+``(S, L + S_:j alpha, H + Im(L^ S_:j alpha))``: the coherent drive, the
+Gaussian mean field and the hierarchy's wavepacket coupling all take
+their drive matrices from one builder, ``_drive_matrices``.
+
+Also here: Heisenberg-picture coefficient extraction, input-output
+structure, an adaptive/fixed-step integrator whose guards stop on trace
+drift, negative eigenvalues and top-Fock-level population (read off the
+diagonal of rho, per hierarchy block), and a sparse-LU steady-state
+solver."""
 
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,8 +50,8 @@ from .hilbert import (
     _compose_coeffs,
     _conj_coeff,
     _factor,
+    _top_populations,
     commutator,
-    make_elementary,
 )
 from .slh import SLHTriple
 
@@ -277,6 +284,50 @@ def _static_or_raise(op: Operator, what: str) -> Operator:
     return op
 
 
+def _drive_matrices(g: SLHTriple, port: int):
+    """Superoperator matrices of a drive alpha(t) on input ``port``.
+
+    Cascading the displacement source (1, alpha, 0) into the port gives
+    (S, L + S_:j alpha, H + Im(L^ S_:j alpha)), whose generator is the
+    vacuum one plus alpha m_alpha + alpha* m_conj + |alpha|^2 m_gauge with
+    m_alpha = [S_:j rho, L^], m_conj = [L, rho S_:j^] and
+    m_gauge = S_:j rho S_:j^ - rho (zero for a scalar-phase S).
+    """
+    if not 1 <= port <= g.n_ports:
+        raise ValidationError(f"port {port} out of range 1..{g.n_ports}")
+    space = g.space
+    d = space.total_dim
+    j = port - 1
+    eye = sp.identity(d, dtype=np.complex128, format="csr")
+    m_alpha = m_conj = gauge = None
+    for i in range(g.n_ports):
+        Sij = _static_or_raise(g.S[i, j], "scattering entry").embed(space).constant()
+        Li = _static_or_raise(g.L[i], "coupling fed by a coherent drive").embed(space).constant()
+        t1 = sp.kron(Sij, Li.conj(), format="csr") - sp.kron(Li.conj().T @ Sij, eye, format="csr")
+        t2 = sp.kron(Li, Sij.conj(), format="csr") - sp.kron(eye, (Sij.conj().T @ Li).T, format="csr")
+        t3 = sp.kron(Sij, Sij.conj(), format="csr")
+        m_alpha = t1 if m_alpha is None else m_alpha + t1
+        m_conj = t2 if m_conj is None else m_conj + t2
+        gauge = t3 if gauge is None else gauge + t3
+    m_gauge = sp.csr_matrix(gauge - sp.identity(d * d, dtype=np.complex128, format="csr"))
+    return m_alpha, m_conj, m_gauge
+
+
+def _drive(g: SLHTriple, alpha, port: int) -> Superoperator:
+    """The drive part of the generator for amplitude alpha(t) on ``port``."""
+    env = alpha if isinstance(alpha, Envelope) else as_envelope(alpha)
+    m_alpha, m_conj, m_gauge = _drive_matrices(g, port)
+    if isinstance(env, ConstantAmplitude):
+        a0 = env.value
+        return Superoperator(g.space, a0 * m_alpha + np.conj(a0) * m_conj + abs(a0) ** 2 * m_gauge)
+    terms = (
+        (env, m_alpha),
+        (_conj_coeff(env), m_conj),
+        (lambda t: abs(env(t)) ** 2, m_gauge),
+    )
+    return Superoperator(g.space, None, terms)
+
+
 def liouvillian_coherent(g: SLHTriple, alpha, port: int = 1) -> Superoperator:
     """Master equation with a coherent drive alpha(t) on one input port.
 
@@ -284,42 +335,10 @@ def liouvillian_coherent(g: SLHTriple, alpha, port: int = 1) -> Superoperator:
     (S_:j rho S_:j^ - rho) to the vacuum generator; identical to
     cascading the displacement source into the designated port.
     """
-    if not 1 <= port <= g.n_ports:
-        raise ValidationError(f"port {port} out of range 1..{g.n_ports}")
-    env = alpha if isinstance(alpha, Envelope) else as_envelope(alpha)
-    space = g.space
-    d = space.total_dim
-    j = port - 1
-    out = liouvillian(g)
-    eye = sp.identity(d, dtype=np.complex128, format="csr")
-    m_alpha = None  # multiplies alpha(t):  [S_:j rho, L^]
-    m_conj = None   # multiplies alpha*(t): [L, rho S_:j^]
-    for i in range(g.n_ports):
-        Sij = _static_or_raise(g.S[i, j], "scattering entry").embed(space).constant()
-        Li = _static_or_raise(g.L[i], "coupling fed by a coherent drive").embed(space).constant()
-        t1 = sp.kron(Sij, Li.conj(), format="csr") - sp.kron(Li.conj().T @ Sij, eye, format="csr")
-        t2 = sp.kron(Li, Sij.conj(), format="csr") - sp.kron(eye, (Sij.conj().T @ Li).T, format="csr")
-        m_alpha = t1 if m_alpha is None else m_alpha + t1
-        m_conj = t2 if m_conj is None else m_conj + t2
-    gauge = None
-    for k in range(g.n_ports):
-        Skj = g.S[k, j].embed(space).constant()
-        m = sp.kron(Skj, Skj.conj(), format="csr")
-        gauge = m if gauge is None else gauge + m
-    m_gauge = sp.csr_matrix(gauge - sp.identity(d * d, dtype=np.complex128, format="csr"))
-    if isinstance(env, ConstantAmplitude):
-        a0 = env.value
-        static = a0 * m_alpha + np.conj(a0) * m_conj + abs(a0) ** 2 * m_gauge
-        return out + Superoperator(space, static)
-    terms = (
-        (env, m_alpha),
-        (_conj_coeff(env), m_conj),
-        (lambda t: abs(env(t)) ** 2, m_gauge),
-    )
-    return out + Superoperator(space, None, terms)
+    return liouvillian(g) + _drive(g, alpha, port)
 
 
-def _scalar_scattering_phase(g: SLHTriple) -> complex:
+def _require_scalar_phase(g: SLHTriple) -> None:
     if g.n_ports != 1:
         raise UnsupportedConfigurationError(
             "Gaussian input requires a single-port component"
@@ -331,13 +350,15 @@ def _scalar_scattering_phase(g: SLHTriple) -> complex:
         raise UnsupportedConfigurationError(
             "Gaussian input is only compatible with a scalar-phase scattering entry"
         )
-    return complex(val)
 
 
 def liouvillian_gaussian(g: SLHTriple, env: GaussianEnv) -> Superoperator:
     """Master equation for a stationary Gaussian input (mean alpha(t),
-    thermal occupation N, squeezing correlation M)."""
-    _scalar_scattering_phase(g)
+    thermal occupation N, squeezing correlation M).
+
+    The mean field alpha enters through S exactly as a coherent drive does.
+    """
+    _require_scalar_phase(g)
     space = g.space
     L = _static_or_raise(g.L[0], "coupling driven by a Gaussian field")
     out = (-1j) * (spre(space, g.H) + (-1.0) * spost(space, g.H))
@@ -352,15 +373,7 @@ def liouvillian_gaussian(g: SLHTriple, env: GaussianEnv) -> Superoperator:
             dbl = sp.kron(X2, eye) - 2.0 * sp.kron(Xm, Xm.T) + sp.kron(eye, X2.T)
             out = out + Superoperator(space, z * dbl)
     if env.alpha is not None:
-        a = env.alpha
-        Lm = L.embed(space).constant()
-        eye = sp.identity(space.total_dim, dtype=np.complex128, format="csr")
-        m_conj = sp.kron(Lm, eye, format="csr") - sp.kron(eye, Lm.T, format="csr")
-        m_alpha = -(sp.kron(Lm.conj().T, eye, format="csr") - sp.kron(eye, Lm.conj(), format="csr"))
-        if isinstance(a, ConstantAmplitude):
-            out = out + Superoperator(space, np.conj(a.value) * m_conj + a.value * m_alpha)
-        else:
-            out = out + Superoperator(space, None, ((_conj_coeff(a), m_conj), (a, m_alpha)))
+        out = out + _drive(g, env.alpha, 1)
     return out
 
 
@@ -506,11 +519,11 @@ class FockHierarchy:
     """
 
     def __init__(self, g: SLHTriple, envelope: Envelope, field_coeffs, driven_port: int = 1):
-        if not 1 <= driven_port <= g.n_ports:
-            raise ValidationError(f"driven port {driven_port} out of range 1..{g.n_ports}")
         envelope.check_normalized()
         if not g.is_static():
             raise UnsupportedConfigurationError("the Fock hierarchy needs a static triple")
+        # sqrt(m) xi(t) [S rho, L^], sqrt(n) xi*(t) [L, rho S^], sqrt(mn) |xi(t)|^2 gauge
+        m_xi, m_xic, m_abs2 = _drive_matrices(g, driven_port)
         if isinstance(field_coeffs, (int, np.integer)):
             n = int(field_coeffs)
             c = np.zeros((n + 1, n + 1), dtype=complex)
@@ -530,24 +543,7 @@ class FockHierarchy:
         d = self.space.total_dim
         self._d = d
         self._nblk = (self.n_max + 1) ** 2
-
         j = driven_port - 1
-        eye = sp.identity(d, dtype=np.complex128, format="csr")
-        m_xi = None   # sqrt(m) xi(t) [S rho, L^]
-        m_xic = None  # sqrt(n) xi*(t) [L, rho S^]
-        for i in range(g.n_ports):
-            Sij = g.S[i, j].embed(self.space).constant()
-            Li = g.L[i].embed(self.space).constant()
-            t1 = sp.kron(Sij, Li.conj(), format="csr") - sp.kron(Li.conj().T @ Sij, eye, format="csr")
-            t2 = sp.kron(Li, Sij.conj(), format="csr") - sp.kron(eye, (Sij.conj().T @ Li).T, format="csr")
-            m_xi = t1 if m_xi is None else m_xi + t1
-            m_xic = t2 if m_xic is None else m_xic + t2
-        gauge = None
-        for k in range(g.n_ports):
-            Skj = g.S[k, j].embed(self.space).constant()
-            m = sp.kron(Skj, Skj.conj(), format="csr")
-            gauge = m if gauge is None else gauge + m
-        m_abs2 = gauge - sp.identity(d * d, dtype=np.complex128, format="csr")
 
         nb = self.n_max + 1
         L0 = liouvillian(g).static
@@ -576,8 +572,8 @@ class FockHierarchy:
 
         terms = []
         if c_xi is not None:
-            terms.append((lambda t: envelope(t), c_xi))
-            terms.append((lambda t: np.conj(envelope(t)), c_xic))
+            terms.append((envelope, c_xi))
+            terms.append((_conj_coeff(envelope), c_xic))
             terms.append((lambda t: abs(envelope(t)) ** 2, c_abs2))
         self._static = big0
         self._terms = tuple(terms)
@@ -765,16 +761,22 @@ class DensityTrajectory:
         )
 
 
-def _density_guard(space: LabeledSpace, oscillator_labels, truncation_guard, check_positivity):
+def _check_truncation(space: LabeledSpace, diag: np.ndarray, limit: float | None, where: str) -> None:
+    """Raise if the top Fock level of some oscillator holds more than ``limit``."""
+    if limit is None:
+        return
+    for lbl, pop in _top_populations(diag, space).items():
+        if pop > limit:
+            raise TruncationGuardError(
+                f"top Fock level of {lbl!r} reached population {pop:.3e} "
+                f"(> {limit:.1e}) {where}; raise the truncation",
+                label=lbl,
+                population=pop,
+            )
+
+
+def _density_guard(space: LabeledSpace, truncation_guard: float | None):
     d = space.total_dim
-    projectors = []
-    labels = list(oscillator_labels) if oscillator_labels is not None else [
-        lbl for lbl, dim in space.factors if dim > 2
-    ]
-    for lbl in labels:
-        dim = space.dim_of(lbl)
-        proj = make_elementary("projector", lbl, dim, dim - 1, dim - 1).embed(space)
-        projectors.append((lbl, proj.constant()))
 
     def guard(t, y):
         rho = y.reshape(d, d)
@@ -784,22 +786,12 @@ def _density_guard(space: LabeledSpace, oscillator_labels, truncation_guard, che
                 f"trace drifted to {tr:.12g} at t = {t:.6g} (|tr - 1| > {TOL_TRACE}); "
                 "not renormalizing, check tolerances or the generator"
             )
-        if check_positivity:
-            w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-            if w.min() < -TOL_POSITIVITY:
-                raise TraceDriftError(
-                    f"rho developed negative eigenvalue {w.min():.3e} at t = {t:.6g}"
-                )
-        if truncation_guard is not None:
-            for lbl, proj in projectors:
-                pop = float(np.real(np.trace(proj @ rho)))
-                if pop > truncation_guard:
-                    raise TruncationGuardError(
-                        f"top Fock level of {lbl!r} reached population {pop:.3e} "
-                        f"(> {truncation_guard:.1e}) at t = {t:.6g}; raise the truncation",
-                        label=lbl,
-                        population=pop,
-                    )
+        w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+        if w.min() < -TOL_POSITIVITY:
+            raise TraceDriftError(
+                f"rho developed negative eigenvalue {w.min():.3e} at t = {t:.6g}"
+            )
+        _check_truncation(space, rho.diagonal(), truncation_guard, f"at t = {t:.6g}")
 
     return guard
 
@@ -815,14 +807,12 @@ def evolve_density(
     rtol: float = DEFAULT_RTOL,
     dt: float | None = None,
     truncation_guard: float | None = TRUNC_GUARD,
-    oscillator_labels: Iterable[str] | None = None,
-    check_positivity: bool = True,
 ) -> DensityTrajectory:
     """Integrate a master equation; never silently renormalizes."""
     if isinstance(rho0, DensityState):
         rho0 = rho0.rho
     rho0 = rho0.embed(generator.space)
-    guard = _density_guard(generator.space, oscillator_labels, truncation_guard, check_positivity)
+    guard = _density_guard(generator.space, truncation_guard)
     traj = integrate(
         generator.rhs(), vectorize(rho0), t_span, t_eval, method=method,
         atol=atol, rtol=rtol, dt=dt, guard=guard,
@@ -850,26 +840,10 @@ def evolve_hierarchy(
     d = hier.space.total_dim
     nb = hier.n_max + 1
 
-    labels = [lbl for lbl, dim in hier.space.factors if dim > 2]
-    projs = [
-        (lbl, make_elementary("projector", lbl, hier.space.dim_of(lbl), hier.space.dim_of(lbl) - 1,
-                              hier.space.dim_of(lbl) - 1).embed(hier.space).constant())
-        for lbl in labels
-    ]
-
     def guard(t, y):
-        if truncation_guard is None:
-            return
         for m in range(nb):
-            seg = y[(m * nb + m) * d * d : (m * nb + m + 1) * d * d].reshape(d, d)
-            for lbl, proj in projs:
-                pop = float(np.real(np.trace(proj @ seg)))
-                if pop > truncation_guard:
-                    raise TruncationGuardError(
-                        f"top Fock level of {lbl!r} reached population {pop:.3e} in block ({m},{m})",
-                        label=lbl,
-                        population=pop,
-                    )
+            diag = y[(m * nb + m) * d * d : (m * nb + m + 1) * d * d : d + 1]
+            _check_truncation(hier.space, diag, truncation_guard, f"in block ({m},{m}) at t = {t:.6g}")
 
     traj = integrate(
         hier.rhs(), hier.pack(state0), t_span, t_eval, method=method,

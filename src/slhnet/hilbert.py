@@ -532,17 +532,20 @@ def partial_trace(rho: Operator, keep: Iterable[str]) -> Operator:
     return Operator(new_space, dense.reshape(d, d))
 
 
-def top_level_populations(rho: Operator, oscillator_labels: Iterable[str] | None = None) -> dict[str, float]:
-    """Population of the highest Fock level of each (oscillator) factor."""
-    labels = list(oscillator_labels) if oscillator_labels is not None else [
-        lbl for lbl, dim in rho.space.factors if dim > 2
-    ]
-    out = {}
-    for lbl in labels:
-        dim = rho.space.dim_of(lbl)
-        proj = make_elementary("projector", lbl, dim, dim - 1, dim - 1).embed(rho.space)
-        out[lbl] = float(np.real((proj.constant() @ rho.constant()).diagonal().sum()))
-    return out
+def _top_populations(diag: np.ndarray, space: LabeledSpace) -> dict[str, float]:
+    """Population of the highest level of each factor with more than two
+    levels, read off the diagonal of a density matrix on ``space``."""
+    p = np.real(diag).reshape(space.dims)
+    return {
+        lbl: float(np.take(p, dim - 1, axis=axis).sum())
+        for axis, (lbl, dim) in enumerate(space.factors)
+        if dim > 2
+    }
+
+
+def top_level_populations(rho: Operator) -> dict[str, float]:
+    """Population of the highest Fock level of each oscillator factor."""
+    return _top_populations(rho.constant().diagonal(), rho.space)
 
 
 def trace(op: Operator, t: float | None = None) -> complex:

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from slhnet.cli import main
 
@@ -201,6 +202,18 @@ class TestOtherCommands:
         code, out, _ = run_cli(["check", NETWORKS / "beamsplitter_cascade.qnet"], capsys)
         assert code == 0
         assert "status: ok" in out
+
+    @pytest.mark.parametrize("command", [["simulate", "--t1", "1"], ["steady-state"]],
+                             ids=["simulate", "steady-state"])
+    def test_drive_without_port_is_an_error(self, command):
+        out = subprocess.run(
+            [sys.executable, "-m", "slhnet.cli", command[0], str(NETWORKS / "driven_cavity.qnet"),
+             *command[1:], "--drive", "drivecoherent"],
+            capture_output=True, text=True, cwd=str(NETWORKS.parent),
+        )
+        assert out.returncode == 1
+        assert "error: --drive needs port=spec" in out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_version_subprocess(self):
         out = subprocess.run(

@@ -8,12 +8,15 @@ from slhnet.components import (
     coherent_source_cavity,
     kerr_cavity,
     one_sided_cavity,
+    phase_shifter,
 )
 from slhnet.dynamics import (
     DensityState,
     GaussianEnv,
     Superoperator,
     evolve_density,
+    evolve_hierarchy,
+    fock_hierarchy,
     format_value,
     heisenberg_coefficients,
     integrate,
@@ -156,13 +159,14 @@ class TestGaussianInput:
         with pytest.raises(UnsupportedConfigurationError):
             liouvillian_gaussian(g, GaussianEnv(N=0.1))
 
-    def test_gaussian_mean_field_matches_coherent(self):
-        # with N = M = 0 and mean alpha the Gaussian equation reduces to
-        # the coherent-drive one (S = 1 here)
-        cav = one_sided_cavity(2.0, 0.3, truncation=6, label="c")
+    @pytest.mark.parametrize("phi", [0.0, np.pi / 2, 0.7], ids=["S=1", "S=i", "S=exp(0.7i)"])
+    def test_gaussian_mean_field_matches_coherent(self, phi):
+        # with N = M = 0 and mean alpha the Gaussian equation reduces to the
+        # coherent-drive one, and both to the source cascaded through S
+        cav = series(one_sided_cavity(2.0, 0.3, truncation=6, label="c"), phase_shifter(phi))
         lg = liouvillian_gaussian(cav, GaussianEnv(N=0.0, M=0.0, alpha=0.2))
-        lc = liouvillian_coherent(cav, 0.2)
-        assert np.abs((lg.matrix(0) - lc.matrix(0)).toarray()).max() < 1e-12
+        for ref in (liouvillian_coherent(cav, 0.2), liouvillian(series(cav, coherent_source(0.2)))):
+            assert np.abs((lg.matrix(0) - ref.matrix(0)).toarray()).max() < 1e-12
 
 
 class TestSourceModelEquivalence:
@@ -329,6 +333,19 @@ class TestIntegrator:
         with pytest.raises(TruncationGuardError) as err:
             evolve_density(gen, rho0, (0, 8.0), np.linspace(0, 8, 33))
         assert err.value.label == "tiny"
+        assert "at t = " in str(err.value)
+
+    def test_hierarchy_truncation_guard_names_label_and_block(self):
+        # two photons fill the top level of a three-level cavity; only the
+        # two-photon block (2,2) can reach it
+        cav = one_sided_cavity(1.0, 0.0, truncation=3, label="tiny")
+        hier = fock_hierarchy(cav, GaussianPulse(t0=3.0, sigma=1.0), 2)
+        rho0 = fock_density(cav.space, {"tiny": 0})
+        with pytest.raises(TruncationGuardError) as err:
+            evolve_hierarchy(hier, rho0, (0, 6.0), np.linspace(0, 6, 13))
+        assert err.value.label == "tiny"
+        assert err.value.population > 1e-6
+        assert "in block (2,2)" in str(err.value)
 
     def test_bad_span(self):
         space = LabeledSpace([("c", 2)])

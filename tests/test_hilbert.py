@@ -239,6 +239,21 @@ class TestStatesAndDiagnostics:
         pops = top_level_populations(rho)
         assert abs(pops["m"] - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("factors", [[("q", 2), ("a", 3), ("b", 4)], [("a", 4), ("q", 2), ("b", 3)]])
+    def test_top_level_populations_match_projectors(self, rng, factors):
+        space = LabeledSpace(factors)
+        d = space.total_dim
+        for _ in range(5):
+            x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            rho = x @ x.conj().T
+            rho /= np.trace(rho)
+            pops = top_level_populations(Operator(space, rho))
+            assert set(pops) == {"a", "b"}
+            for lbl, pop in pops.items():
+                dim = space.dim_of(lbl)
+                proj = make_elementary("projector", lbl, dim, dim - 1, dim - 1).embed(space).constant()
+                assert abs(pop - np.real(np.trace(proj @ rho))) < 1e-14
+
 
 class TestSerialization:
     def test_round_trip_static(self, rng):
