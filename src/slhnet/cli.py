@@ -292,8 +292,8 @@ def _run_simulation(res, args, drives, observables):
             truncation_guard=limit,
         )
         for name, op in obs_ops.items():
-            columns[name] = [s.expect(op) for s in states]
-        columns["flux"] = [gen.mean_photon_flux(s, t) for t, s in zip(times, states)]
+            columns[name] = list(states.expect(op))
+        columns["flux"] = list(gen.mean_photon_flux(states, times))
     return times, columns
 
 

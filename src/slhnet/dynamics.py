@@ -26,12 +26,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45
 
 from .envelopes import ConstantAmplitude, Envelope, as_envelope
 from .errors import (
@@ -76,6 +77,23 @@ DEFAULT_RTOL = 1e-8
 # states
 
 
+def _negative_eigenvalue(m: np.ndarray) -> float | None:
+    """Most negative eigenvalue of the Hermitian part of ``m`` if it lies
+    below ``-TOL_POSITIVITY``, else None.
+
+    A Cholesky factorization of ``herm + TOL_POSITIVITY I`` succeeds exactly
+    when no eigenvalue lies below ``-TOL_POSITIVITY``; ``eigvalsh`` runs only
+    when it fails, to confirm the violation and report the eigenvalue.
+    """
+    herm = 0.5 * (m + m.conj().T)
+    try:
+        np.linalg.cholesky(herm + TOL_POSITIVITY * np.eye(len(herm)))
+        return None
+    except np.linalg.LinAlgError:
+        w = float(np.linalg.eigvalsh(herm).min())
+    return w if w < -TOL_POSITIVITY else None
+
+
 @dataclass
 class DensityState:
     """Density matrix plus its time stamp; validated on construction."""
@@ -94,9 +112,9 @@ class DensityState:
         herm = (self.rho - self.rho.dag()).max_abs()
         if herm > TOL_OP:
             raise ValidationError(f"rho is not Hermitian: residual {herm:.3e}")
-        w = np.linalg.eigvalsh(m.toarray())
-        if w.min() < -TOL_POSITIVITY:
-            raise ValidationError(f"rho has negative eigenvalue {w.min():.3e}")
+        w = _negative_eigenvalue(m.toarray())
+        if w is not None:
+            raise ValidationError(f"rho has negative eigenvalue {w:.3e}")
 
     def expect(self, op: Operator) -> complex:
         x = op.embed(self.rho.space) if op.space != self.rho.space else op
@@ -338,7 +356,8 @@ def liouvillian_coherent(g: SLHTriple, alpha, port: int = 1) -> Superoperator:
     return liouvillian(g) + _drive(g, alpha, port)
 
 
-def _require_scalar_phase(g: SLHTriple) -> None:
+def _require_scalar_phase(g: SLHTriple) -> complex:
+    """The phase s of a single-port triple whose S is s times the identity."""
     if g.n_ports != 1:
         raise UnsupportedConfigurationError(
             "Gaussian input requires a single-port component"
@@ -350,23 +369,27 @@ def _require_scalar_phase(g: SLHTriple) -> None:
         raise UnsupportedConfigurationError(
             "Gaussian input is only compatible with a scalar-phase scattering entry"
         )
+    return complex(val)
 
 
 def liouvillian_gaussian(g: SLHTriple, env: GaussianEnv) -> Superoperator:
     """Master equation for a stationary Gaussian input (mean alpha(t),
     thermal occupation N, squeezing correlation M).
 
-    The mean field alpha enters through S exactly as a coherent drive does.
+    The squeezing terms are (M/2)[L^,[L^,rho]] + (M*/2)[L,[L,rho]] with M
+    rotated by the scattering phase s to s^2 M, since (s, L, H) is the
+    input passing s before it meets (1, L, H); the mean field alpha enters
+    through S exactly as a coherent drive does.
     """
-    _require_scalar_phase(g)
+    M = _require_scalar_phase(g) ** 2 * env.M
     space = g.space
     L = _static_or_raise(g.L[0], "coupling driven by a Gaussian field")
     out = (-1j) * (spre(space, g.H) + (-1.0) * spost(space, g.H))
     out = out + (env.N + 1.0) * lindblad_dissipator(space, L)
     if env.N:
         out = out + env.N * lindblad_dissipator(space, L.dag())
-    if env.M:
-        for z, X in ((env.M, L.dag()), (np.conj(env.M), L)):
+    if M:
+        for z, X in ((0.5 * M, L.dag()), (0.5 * np.conj(M), L)):
             X2 = (X * X).embed(space).constant()
             Xm = X.embed(space).constant()
             eye = sp.identity(space.total_dim, dtype=np.complex128, format="csr")
@@ -466,16 +489,40 @@ def output_relations(g: SLHTriple) -> OutputRelations:
 
 @dataclass
 class FockHierarchyState:
-    """Generalized state matrices rho_{m,n} for a Fock-driven run."""
+    """Generalized state matrices rho_{m,n} of a Fock-driven run, packed
+    as the row-major vec of each block in (m, n) order.
 
-    blocks: dict
+    A 2-D ``y`` stacks one packed state per sample (``time`` then holds the
+    sample times): ``expect`` and ``FockHierarchy.mean_photon_flux`` then
+    answer for every sample at once, and indexing gives one sample's state.
+    """
+
+    y: np.ndarray
+    space: LabeledSpace
     coefficients: np.ndarray
     envelope: Envelope
-    time: float = 0.0
+    time: float | np.ndarray = 0.0
 
     @property
     def n_max(self) -> int:
         return self.coefficients.shape[0] - 1
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __getitem__(self, k) -> "FockHierarchyState":
+        return FockHierarchyState(self.y[k], self.space, self.coefficients, self.envelope, self.time[k])
+
+    def block(self, m: int, n: int) -> np.ndarray:
+        """vec(rho_{m,n}), one row per sample for a stacked state."""
+        d2 = self.space.total_dim ** 2
+        k = m * (self.n_max + 1) + n
+        return self.y[..., k * d2 : (k + 1) * d2]
+
+    @property
+    def blocks(self) -> dict:
+        nb = self.n_max + 1
+        return {(m, n): unvectorize(self.block(m, n), self.space) for m in range(nb) for n in range(nb)}
 
     def physical_state(self) -> Operator:
         """sum c*_{m,n} rho_{m,n}^dag, the state all expectations trace against."""
@@ -489,24 +536,21 @@ class FockHierarchyState:
         return acc
 
     def hermiticity_residual(self) -> float:
-        worst = 0.0
-        for (m, n), block in self.blocks.items():
-            other = self.blocks[(n, m)]
-            worst = max(worst, (block - other.dag()).max_abs())
-        return worst
+        blocks = self.blocks
+        return max((block - blocks[(n, m)].dag()).max_abs() for (m, n), block in blocks.items())
 
-    def expect(self, X: Operator) -> complex:
+    def trace_with(self, m: int, n: int, x: np.ndarray):
+        """tr(rho_{m,n}^dag X) = conj(vec rho_{m,n}) . vec X for ``x = vec X``."""
+        return self.block(m, n).conj() @ x
+
+    def expect(self, X: Operator):
         """E[X] = sum_{m,n} c*_{m,n} tr(rho_{m,n}^dag X)."""
-        total = 0.0 + 0.0j
-        for (m, n), block in self.blocks.items():
-            c = self.coefficients[m, n]
-            if c == 0:
-                continue
-            Xe = X.embed(block.space)
-            total += np.conj(c) * complex(
-                (block.dag().constant() @ Xe.constant()).diagonal().sum()
-            )
-        return total
+        x = vectorize(X.embed(self.space))
+        return sum(
+            np.conj(c) * self.trace_with(m, n, x)
+            for (m, n), c in np.ndenumerate(self.coefficients)
+            if c != 0
+        )
 
 
 class FockHierarchy:
@@ -540,90 +584,41 @@ class FockHierarchy:
         self.n_max = c.shape[0] - 1
         self.driven_port = driven_port
         self.space = g.space
-        d = self.space.total_dim
-        self._d = d
-        self._nblk = (self.n_max + 1) ** 2
         j = driven_port - 1
 
         nb = self.n_max + 1
-        L0 = liouvillian(g).static
 
-        def block_unit(mi, ni, mj, nj):
-            e = sp.csr_matrix(
-                ([1.0], ([mi * nb + ni], [mj * nb + nj])), shape=(nb * nb, nb * nb)
+        def ladder(dm, dn):
+            """sqrt(m^dm n^dn) |(m, n)><(m - dm, n - dn)| on the block index."""
+            mn = [(m, n) for m in range(dm, nb) for n in range(dn, nb)]
+            return sp.csr_matrix(
+                ([math.sqrt(m**dm * n**dn) for m, n in mn],
+                 ([m * nb + n for m, n in mn], [(m - dm) * nb + n - dn for m, n in mn])),
+                shape=(nb * nb, nb * nb),
             )
-            return e
 
-        big0 = sp.kron(sp.identity(nb * nb, format="csr"), L0, format="csr")
-        c_xi = None
-        c_xic = None
-        c_abs2 = None
-        for m in range(nb):
-            for n in range(nb):
-                if m > 0:
-                    t = math.sqrt(m) * sp.kron(block_unit(m, n, m - 1, n), m_xi, format="csr")
-                    c_xi = t if c_xi is None else c_xi + t
-                if n > 0:
-                    t = math.sqrt(n) * sp.kron(block_unit(m, n, m, n - 1), m_xic, format="csr")
-                    c_xic = t if c_xic is None else c_xic + t
-                if m > 0 and n > 0:
-                    t = math.sqrt(m * n) * sp.kron(block_unit(m, n, m - 1, n - 1), m_abs2, format="csr")
-                    c_abs2 = t if c_abs2 is None else c_abs2 + t
-
-        terms = []
-        if c_xi is not None:
-            terms.append((envelope, c_xi))
-            terms.append((_conj_coeff(envelope), c_xic))
-            terms.append((lambda t: abs(envelope(t)) ** 2, c_abs2))
-        self._static = big0
-        self._terms = tuple(terms)
-
-        # flux ingredients: sum_i L_i^ L_i, sum_i S_ij^ L_i, sum_i L_i^ S_ij
-        LdL = None
-        SdL = None
-        LdS = None
-        for i in range(g.n_ports):
-            Li = g.L[i]
-            Sij = g.S[i, j]
-            t0 = Li.dag() * Li
-            t1 = Sij.dag() * Li
-            t2 = Li.dag() * Sij
-            LdL = t0 if LdL is None else LdL + t0
-            SdL = t1 if SdL is None else SdL + t1
-            LdS = t2 if LdS is None else LdS + t2
-        self._flux_LdL = LdL
-        self._flux_SdL = SdL
-        self._flux_LdS = LdS
+        self._static = sp.kron(sp.identity(nb * nb, format="csr"), liouvillian(g).static, format="csr")
+        self._terms = () if nb == 1 else (
+            (envelope, sp.kron(ladder(1, 0), m_xi, format="csr")),
+            (_conj_coeff(envelope), sp.kron(ladder(0, 1), m_xic, format="csr")),
+            (lambda t: abs(envelope(t)) ** 2, sp.kron(ladder(1, 1), m_abs2, format="csr")),
+        )
+        # flux ingredients: vec of sum_i L_i^ L_i, sum_i S_ij^ L_i, sum_i L_i^ S_ij
+        per_port = [(L.dag() * L, S.dag() * L, L.dag() * S) for L, S in zip(g.L, g.S[:, j])]
+        self._flux = [sum(vectorize(op.embed(self.space)) for op in ops) for ops in zip(*per_port)]
 
     # -- state handling ------------------------------------------------------
 
     def initial_state(self, rho_sys: Operator) -> FockHierarchyState:
         """Diagonal blocks start in the system state, off-diagonal at zero."""
-        rho_sys = rho_sys.embed(self.space)
-        blocks = {}
-        zero = Operator(self.space)
-        for m in range(self.n_max + 1):
-            for n in range(self.n_max + 1):
-                blocks[(m, n)] = rho_sys if m == n else zero
-        return FockHierarchyState(blocks, self.c, self.envelope, 0.0)
-
-    def pack(self, state: FockHierarchyState) -> np.ndarray:
         nb = self.n_max + 1
-        d2 = self._d * self._d
-        y = np.zeros(nb * nb * d2, dtype=np.complex128)
-        for (m, n), block in state.blocks.items():
-            y[(m * nb + n) * d2 : (m * nb + n + 1) * d2] = vectorize(block)
-        return y
+        y = np.zeros((nb, nb, self.space.total_dim ** 2), dtype=np.complex128)
+        y[range(nb), range(nb)] = vectorize(rho_sys.embed(self.space))
+        return self.unpack(y.reshape(-1), 0.0)
 
-    def unpack(self, y: np.ndarray, t: float = 0.0) -> FockHierarchyState:
-        nb = self.n_max + 1
-        d2 = self._d * self._d
-        blocks = {}
-        for m in range(nb):
-            for n in range(nb):
-                seg = y[(m * nb + n) * d2 : (m * nb + n + 1) * d2]
-                blocks[(m, n)] = unvectorize(seg, self.space)
-        return FockHierarchyState(blocks, self.c, self.envelope, t)
+    def unpack(self, y: np.ndarray, t=0.0) -> FockHierarchyState:
+        """State from packed blocks; a 2-D ``y`` with sample times ``t`` stacks samples."""
+        return FockHierarchyState(y, self.space, self.c, self.envelope, t)
 
     def rhs(self) -> Callable[[float, np.ndarray], np.ndarray]:
         def fn(t, y):
@@ -636,35 +631,27 @@ class FockHierarchy:
 
     # -- derived quantities ----------------------------------------------------
 
-    def derivative(self, state: FockHierarchyState, t: float) -> FockHierarchyState:
-        return self.unpack(self.rhs()(t, self.pack(state)), t)
-
-    def mean_photon_flux(self, state: FockHierarchyState, t: float) -> float:
+    def mean_photon_flux(self, state: FockHierarchyState, t):
         """d E[Lambda_out]/dt combined over all blocks with the field
-        coefficients; real up to numerical noise for physical states."""
-        xi = self.envelope(t)
+        coefficients; real up to numerical noise for physical states.
+        For a stacked state ``t`` holds the sample times and the result is
+        one flux per sample."""
+        xi = self.envelope(t) if np.ndim(t) == 0 else np.array([self.envelope(s) for s in t])
+        LdL, SdL, LdS = self._flux
         total = 0.0 + 0.0j
-
-        def emn(m, n, op):
-            block = state.blocks[(m, n)]
-            return complex(
-                (block.dag().constant() @ op.embed(self.space).constant()).diagonal().sum()
-            )
-
-        for m in range(self.n_max + 1):
-            for n in range(self.n_max + 1):
-                c = self.c[m, n]
-                if c == 0:
-                    continue
-                val = emn(m, n, self._flux_LdL)
-                if m > 0:
-                    val += math.sqrt(m) * np.conj(xi) * emn(m - 1, n, self._flux_SdL)
-                if n > 0:
-                    val += math.sqrt(n) * xi * emn(m, n - 1, self._flux_LdS)
-                if m > 0 and n > 0:
-                    val += math.sqrt(m * n) * abs(xi) ** 2
-                total += np.conj(c) * val
-        return float(np.real(total))
+        for (m, n), c in np.ndenumerate(self.c):
+            if c == 0:
+                continue
+            val = state.trace_with(m, n, LdL)
+            if m > 0:
+                val = val + math.sqrt(m) * np.conj(xi) * state.trace_with(m - 1, n, SdL)
+            if n > 0:
+                val = val + math.sqrt(n) * xi * state.trace_with(m, n - 1, LdS)
+            if m > 0 and n > 0:
+                val = val + math.sqrt(m * n) * abs(xi) ** 2
+            total = total + np.conj(c) * val
+        flux = np.real(total)
+        return float(flux) if np.ndim(flux) == 0 else flux
 
 
 def fock_hierarchy(g: SLHTriple, envelope: Envelope, field_coeffs, driven_port: int = 1) -> FockHierarchy:
@@ -692,40 +679,48 @@ def integrate(
     dt: float | None = None,
     guard: Callable[[float, np.ndarray], None] | None = None,
 ) -> Trajectory:
-    """March the ODE and sample at ``t_eval`` (guards run at samples).
+    """March the ODE and sample at ``t_eval``; guards run at every sample.
 
-    ``adaptive`` uses an embedded Runge-Kutta 4(5) pair with the given
-    tolerances; ``fixed`` uses classic RK4 with step ``dt`` (or close to
-    it, adjusted per segment) and is bitwise reproducible.
+    ``adaptive`` is one continuous run of scipy's ``RK45`` (Dormand-Prince
+    4(5) with the given tolerances) from ``t0`` to the last sample.  Before
+    each sample the solver's bound moves to it, so the step that reaches a
+    sample is clipped to land on it exactly, and the step size and the
+    first-same-as-last derivative carry on into the next interval; samples
+    are the solver's own states, never interpolants.  ``fixed`` uses
+    classic RK4 with step ``dt`` (or close to it, adjusted per segment)
+    and is bitwise reproducible.  ``t_eval`` must be non-decreasing and
+    lie within ``t_span``; ``t0`` is prepended when it is missing.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValidationError(f"t_span start must precede end, got ({t0}, {t1})")
-    if t_eval is None:
-        t_eval = np.linspace(t0, t1, 101)
-    t_eval = np.asarray(t_eval, dtype=float)
-    if t_eval[0] != t0:
+    t_eval = np.linspace(t0, t1, 101) if t_eval is None else np.asarray(t_eval, dtype=float)
+    if t_eval.ndim != 1 or not (np.all(np.diff(t_eval) >= 0) and np.all((t0 <= t_eval) & (t_eval <= t1))):
+        raise ValidationError(f"t_eval must be non-decreasing and lie within [{t0}, {t1}]")
+    if not t_eval.size or t_eval[0] != t0:
         t_eval = np.concatenate(([t0], t_eval))
-    y = np.asarray(y0, dtype=np.complex128).copy()
-    states = [y.copy()]
+    states = np.empty((t_eval.size, np.size(y0)), dtype=np.complex128)
+    states[0] = np.ravel(y0)
     if guard is not None:
-        guard(t0, y)
+        guard(t0, states[0])
 
     if method == "adaptive":
-        for a, b in zip(t_eval[:-1], t_eval[1:]):
-            sol = solve_ivp(
-                rhs, (a, b), y, method="RK45", rtol=rtol, atol=atol, dense_output=False
-            )
-            if not sol.success:
-                raise ValidationError(f"integrator failed on [{a}, {b}]: {sol.message}")
-            y = sol.y[:, -1]
-            states.append(y.copy())
+        solver = RK45(rhs, t0, states[0].copy(), t_eval[-1], rtol=rtol, atol=atol)
+        for k in range(1, t_eval.size):
+            solver.t_bound, solver.status = t_eval[k], "running"
+            while solver.status == "running":
+                message = solver.step()
+            if solver.status == "failed":
+                raise ValidationError(f"integrator failed on [{t_eval[k - 1]}, {t_eval[k]}]: {message}")
+            states[k] = solver.y
             if guard is not None:
-                guard(b, y)
+                guard(t_eval[k], states[k])
     elif method == "fixed":
         if dt is None or dt <= 0:
             raise ValidationError("fixed-step integration needs dt > 0")
-        for a, b in zip(t_eval[:-1], t_eval[1:]):
+        y = states[0].copy()
+        for k in range(1, t_eval.size):
+            a, b = t_eval[k - 1], t_eval[k]
             steps = max(1, int(math.ceil((b - a) / dt - 1e-12)))
             h = (b - a) / steps
             t = a
@@ -736,29 +731,33 @@ def integrate(
                 k4 = rhs(t + h, y + h * k3)
                 y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
                 t += h
-            states.append(y.copy())
+            states[k] = y
             if guard is not None:
-                guard(b, y)
+                guard(b, states[k])
     else:
         raise ValidationError(f"unknown integration method {method!r}")
-    return Trajectory(np.asarray(t_eval), np.asarray(states))
+    return Trajectory(t_eval, states)
 
 
 @dataclass
 class DensityTrajectory:
+    """Sampled density matrices: row k of ``array`` is vec(rho) at ``times[k]``."""
+
     times: np.ndarray
     space: LabeledSpace
-    states: list[Operator]
+    array: np.ndarray
     expectations: dict = field(default_factory=dict)
 
+    @cached_property
+    def states(self) -> list[Operator]:
+        return [unvectorize(y, self.space) for y in self.array]
+
     def final(self) -> DensityState:
-        return DensityState(self.states[-1], float(self.times[-1]))
+        return DensityState(unvectorize(self.array[-1], self.space), float(self.times[-1]))
 
     def expect(self, op: Operator) -> np.ndarray:
-        x = op.embed(self.space).constant()
-        return np.array(
-            [complex((x @ s.constant()).diagonal().sum()) for s in self.states]
-        )
+        """tr(X rho) at every sample, as vec(rho) . vec(X^T) row by row."""
+        return self.array @ vectorize(op.embed(self.space).constant().T.toarray())
 
 
 def _check_truncation(space: LabeledSpace, diag: np.ndarray, limit: float | None, where: str) -> None:
@@ -786,11 +785,9 @@ def _density_guard(space: LabeledSpace, truncation_guard: float | None):
                 f"trace drifted to {tr:.12g} at t = {t:.6g} (|tr - 1| > {TOL_TRACE}); "
                 "not renormalizing, check tolerances or the generator"
             )
-        w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        if w.min() < -TOL_POSITIVITY:
-            raise TraceDriftError(
-                f"rho developed negative eigenvalue {w.min():.3e} at t = {t:.6g}"
-            )
+        w = _negative_eigenvalue(rho)
+        if w is not None:
+            raise TraceDriftError(f"rho developed negative eigenvalue {w:.3e} at t = {t:.6g}")
         _check_truncation(space, rho.diagonal(), truncation_guard, f"at t = {t:.6g}")
 
     return guard
@@ -817,8 +814,7 @@ def evolve_density(
         generator.rhs(), vectorize(rho0), t_span, t_eval, method=method,
         atol=atol, rtol=rtol, dt=dt, guard=guard,
     )
-    states = [unvectorize(y, generator.space) for y in traj.states]
-    out = DensityTrajectory(traj.times, generator.space, states)
+    out = DensityTrajectory(traj.times, generator.space, traj.states)
     for name, op in (observables or {}).items():
         out.expectations[name] = out.expect(op)
     return out
@@ -834,8 +830,9 @@ def evolve_hierarchy(
     rtol: float = DEFAULT_RTOL,
     dt: float | None = None,
     truncation_guard: float | None = TRUNC_GUARD,
-) -> tuple[np.ndarray, list[FockHierarchyState]]:
-    """Integrate the Fock hierarchy from the standard initial condition."""
+) -> tuple[np.ndarray, FockHierarchyState]:
+    """Integrate the Fock hierarchy from the standard initial condition;
+    the states come back stacked, one sample per index."""
     state0 = hier.initial_state(rho_sys)
     d = hier.space.total_dim
     nb = hier.n_max + 1
@@ -846,10 +843,10 @@ def evolve_hierarchy(
             _check_truncation(hier.space, diag, truncation_guard, f"in block ({m},{m}) at t = {t:.6g}")
 
     traj = integrate(
-        hier.rhs(), hier.pack(state0), t_span, t_eval, method=method,
+        hier.rhs(), state0.y, t_span, t_eval, method=method,
         atol=atol, rtol=rtol, dt=dt, guard=guard,
     )
-    return traj.times, [hier.unpack(y, t) for t, y in zip(traj.times, traj.states)]
+    return traj.times, hier.unpack(traj.states, traj.times)
 
 
 # --------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .envelopes import (
     GaussianPulse,
     SquarePulse,
 )
-from .errors import ElaborationError, AlgebraicLoopError, ParseError
+from .errors import AlgebraicLoopError, CompositionError, ElaborationError, ParseError
 from .hilbert import LabeledSpace, Operator, coherent_vector, density_from_vector
 from .slh import SLHTriple, concat, feedback_multi
 
@@ -564,9 +564,10 @@ def elaborate(nd: NetworkDescription) -> ElaborationResult:
     ]
     try:
         result = feedback_multi(net, wiring)
-    except AlgebraicLoopError as exc:
+    except CompositionError as exc:
         wires = ", ".join(f"{w.src[0]}.out[{w.src[1]}]->{w.dst[0]}.in[{w.dst[1]}]" for w in nd.wires)
-        raise ElaborationError(f"algebraic loop while closing wires [{wires}]: {exc}") from exc
+        kind = "algebraic loop" if isinstance(exc, AlgebraicLoopError) else "composition error"
+        raise ElaborationError(f"{kind} while closing wires [{wires}]: {exc}") from exc
     reduced = result.triple
 
     in_labels = {}

@@ -56,6 +56,21 @@ class TestCompose:
         assert code == 3
         assert "algebraic loop" in err
 
+    def test_composition_error_while_wiring_exit_3(self, tmp_path, capsys):
+        # a pulsed source cannot be closed through a wire yet; the refusal
+        # is an elaboration error naming the wires, not an internal one
+        f = tmp_path / "pulsed.qnet"
+        f.write_text(
+            "component src = coherent_source(alpha=0.3, envelope=gaussian(t0=2, sigma=0.5));\n"
+            "component cav = one_sided_cavity(gamma=1.0, truncation=4);\n"
+            "wire src.out[1] -> cav.in[1];\n"
+            "expose cav.out[1] as output;"
+        )
+        code, _, err = run_cli(["compose", f], capsys)
+        assert code == 3
+        assert "[src.out[1]->cav.in[1]]" in err
+        assert "time-dependent couplings" in err
+
 
 class TestSimulate:
     def test_driven_cavity_reaches_steady_state(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from slhnet.components import (
 )
 from slhnet.dynamics import (
     DensityState,
+    DensityTrajectory,
     GaussianEnv,
     Superoperator,
     evolve_density,
@@ -26,6 +29,7 @@ from slhnet.dynamics import (
     output_relations,
     steady_state,
     trajectory_csv,
+    vectorize,
 )
 from slhnet.envelopes import GaussianPulse
 from slhnet.errors import (
@@ -36,6 +40,7 @@ from slhnet.errors import (
     ValidationError,
 )
 from slhnet.hilbert import (
+    TRUNC_GUARD,
     LabeledSpace,
     Operator,
     basis_vector,
@@ -47,7 +52,10 @@ from slhnet.hilbert import (
     op_close,
     sigma_minus,
 )
+from slhnet.netlang import elaborate, parse
 from slhnet.slh import SLHTriple, concat, series
+
+NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
 
 def fock_density(space, occ):
@@ -167,6 +175,39 @@ class TestGaussianInput:
         lg = liouvillian_gaussian(cav, GaussianEnv(N=0.0, M=0.0, alpha=0.2))
         for ref in (liouvillian_coherent(cav, 0.2), liouvillian(series(cav, coherent_source(0.2)))):
             assert np.abs((lg.matrix(0) - ref.matrix(0)).toarray()).max() < 1e-12
+
+
+    def test_squeezed_steady_state_matches_langevin(self):
+        # a cavity in a squeezed bath: <aa> = gamma M / (gamma + 2i delta), <a^a> = N
+        gamma, delta, N, M = 2.0, 0.3, 0.1, 0.05
+        cav = one_sided_cavity(gamma, delta, truncation=20, label="c")
+        a = destroy("c", 20)
+        ss = steady_state(liouvillian_gaussian(cav, GaussianEnv(N=N, M=M)))
+        assert abs(ss.expect(a * a) - gamma * M / (gamma + 2j * delta)) < 1e-12
+        assert abs(ss.expect(a.dag() * a) - N) < 1e-12
+
+    def test_scattering_phase_rotates_squeezing(self):
+        # a phase s ahead of the cavity rotates M to s^2 M (s = i flips <aa>);
+        # behind the cavity it leaves the cavity's bath unchanged
+        cav = one_sided_cavity(2.0, 0.3, truncation=20, label="c")
+        a = destroy("c", 20)
+        env = GaussianEnv(N=0.1, M=0.05)
+
+        def aa(g):
+            return steady_state(liouvillian_gaussian(g, env)).expect(a * a)
+
+        ref = aa(cav)
+        assert abs(ref) > 0.04
+        assert abs(aa(series(cav, phase_shifter(np.pi / 2))) + ref) < 1e-12
+        assert abs(aa(series(phase_shifter(np.pi / 2), cav)) - ref) < 1e-12
+
+    def test_admissible_strong_squeezing_gives_a_state(self):
+        # |M|^2 = 0.04 <= N(N+1) = 0.11; doubled squeezing terms made the
+        # steady state non-positive here
+        cav = one_sided_cavity(2.0, 0.3, truncation=20, label="c")
+        a = destroy("c", 20)
+        ss = steady_state(liouvillian_gaussian(cav, GaussianEnv(N=0.1, M=0.2)))
+        assert abs(ss.expect(a * a) - 0.4 / (2.0 + 0.6j)) < 1e-9
 
 
 class TestSourceModelEquivalence:
@@ -352,6 +393,120 @@ class TestIntegrator:
         gen = Superoperator(space)
         with pytest.raises(ValidationError):
             integrate(gen.rhs(), np.zeros(4, dtype=complex), (1.0, 0.0))
+
+
+    def test_adaptive_run_does_not_restart_at_samples(self):
+        # driven cascade at truncation 6, 201 samples: restarting the solver
+        # at every sample took 2398 RHS calls, one continuous run about 1400
+        res = elaborate(parse((NETWORKS / "two_cavity_cascade.qnet").read_text()))
+        inner = liouvillian_coherent(res.triple, 0.25).rhs()
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return inner(t, y)
+
+        ts = np.linspace(0.0, 20.0, 201)
+        traj = integrate(rhs, vectorize(res.initial_state), (0.0, 20.0), ts)
+        assert len(calls) <= 1448
+        assert np.array_equal(traj.times, ts) and traj.states.shape == (201, 36**2)
+        assert np.all(np.diff(calls) >= 0)  # never steps back past a sample
+
+    @pytest.mark.parametrize("method", ["adaptive", "fixed"])
+    def test_guard_runs_once_per_sample_in_order(self, method):
+        cav = one_sided_cavity(1.0, 0.2, truncation=4, label="c")
+        ts = [0.0, 0.5, 0.5, 1.25, 2.0]
+        seen = []
+        traj = integrate(
+            liouvillian_coherent(cav, 0.3).rhs(), vectorize(fock_density(cav.space, {"c": 0})),
+            (0.0, 2.0), ts, method=method, dt=0.05, guard=lambda t, y: seen.append(t),
+        )
+        assert seen == ts
+        assert np.array_equal(traj.states[1], traj.states[2])  # a repeated sample
+
+    @pytest.mark.parametrize("method", ["adaptive", "fixed"])
+    @pytest.mark.parametrize(
+        "ts", [[0.0, 1.5, 1.0, 2.0], [0.5, 1.0, 2.5], [-0.5, 1.0, 2.0], [0.0, np.nan, 2.0]],
+        ids=["decreasing", "past_end", "before_start", "nan"],
+    )
+    def test_t_eval_must_be_ordered_within_span(self, method, ts):
+        cav = one_sided_cavity(1.0, 0.2, truncation=4, label="c")
+        with pytest.raises(ValidationError, match="t_eval"):
+            integrate(
+                liouvillian(cav).rhs(), vectorize(fock_density(cav.space, {"c": 1})),
+                (0.0, 2.0), ts, method=method, dt=0.05,
+            )
+
+    def test_trace_drift_stops_at_first_offending_sample(self):
+        space = LabeledSpace([("c", 2)])
+        # tr rho = exp(-eps t) leaves 1 +- 1e-8 at t = 2.5: first sample past it is 3
+        gen = Superoperator(space, -4e-9 * np.eye(4))
+        with pytest.raises(TraceDriftError, match=r"at t = 3 \("):
+            evolve_density(
+                gen, fock_density(space, {"c": 0}), (0, 10.0), np.linspace(0, 10, 11), truncation_guard=None
+            )
+
+    def test_truncation_guard_stops_at_first_offending_sample(self):
+        cav = one_sided_cavity(0.05, 0.0, truncation=3, label="tiny")
+        gen = liouvillian_coherent(cav, 0.2)
+        rho0 = fock_density(cav.space, {"tiny": 0})
+        ts = np.linspace(0, 8, 33)
+        free = evolve_density(gen, rho0, (0, 8.0), ts, truncation_guard=None)
+        top = free.expect(make_elementary("projector", "tiny", 3, 2, 2)).real
+        first = int(np.argmax(top > TRUNC_GUARD))
+        assert first > 1
+        with pytest.raises(TruncationGuardError) as err:
+            evolve_density(gen, rho0, (0, 8.0), ts)
+        assert f"at t = {ts[first]:.6g};" in str(err.value)
+
+    def test_non_positive_state_reports_its_eigenvalue(self):
+        cav = one_sided_cavity(1.0, 0.0, truncation=3, label="c")
+        bad = Operator(cav.space, np.diag([0.7, 0.4, -0.1]))
+        with pytest.raises(ValidationError, match=r"rho has negative eigenvalue -1\.000e-01$"):
+            DensityState(bad, 0.0)
+        with pytest.raises(TraceDriftError, match=r"rho developed negative eigenvalue -1\.000e-01 at t = 0$"):
+            evolve_density(liouvillian(cav), bad, (0, 1.0), [0.0, 1.0], truncation_guard=None)
+
+    def test_positivity_tolerance_is_kept(self):
+        space = LabeledSpace([("c", 3)])
+        DensityState(Operator(space, np.diag([1.0 + 5e-9, -5e-9, 0.0])), 0.0)
+        with pytest.raises(ValidationError, match="negative eigenvalue -2.000e-08"):
+            DensityState(Operator(space, np.diag([1.0 + 2e-8, -2e-8, 0.0])), 0.0)
+
+
+class TestStackedExpectations:
+    def test_density_trajectory_matches_per_sample(self, rng):
+        space = LabeledSpace([("a", 3), ("b", 2)])
+        rhos = []
+        for _ in range(7):
+            m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+            rho = m @ m.conj().T
+            rhos.append(rho / np.trace(rho))
+        traj = DensityTrajectory(np.arange(7.0), space, np.array([r.reshape(-1) for r in rhos]))
+        X = Operator(space, rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        per_sample = [np.trace(X.constant().toarray() @ r) for r in rhos]
+        assert np.abs(traj.expect(X) - per_sample).max() < 1e-13
+        assert np.abs(traj.expect(X) - [DensityState(s).expect(X) for s in traj.states]).max() < 1e-13
+
+    def test_hierarchy_run_matches_per_sample(self, rng):
+        atom = SLHTriple(1, [sigma_minus("q")], 0.0)
+        v = np.array([0.6, 0.8j])
+        hier = fock_hierarchy(atom, GaussianPulse(t0=3.0, sigma=1.0), np.outer(v, v.conj()))
+        rho0 = fock_density(atom.space, {"q": 0})
+        times, states = evolve_hierarchy(hier, rho0, (0, 6.0), np.linspace(0, 6, 13))
+        X = Operator(atom.space, rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        x = X.constant().toarray()
+        per_sample = [
+            sum(
+                np.conj(hier.c[m, n]) * np.trace(b.constant().toarray().conj().T @ x)
+                for (m, n), b in states[k].blocks.items()
+            )
+            for k in range(len(times))
+        ]
+        assert np.abs(states.expect(X) - per_sample).max() < 1e-13
+        flux = hier.mean_photon_flux(states, times)
+        assert np.abs(flux - [hier.mean_photon_flux(s, t) for t, s in zip(times, states)]).max() < 1e-13
+        assert flux.max() > 0.1
 
 
 class TestSteadyState:
