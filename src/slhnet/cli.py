@@ -9,7 +9,9 @@ error, 1 anything else.  All numeric output is locale-independent
 from __future__ import annotations
 
 import argparse
+import copy
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -225,6 +227,12 @@ def _resolve_observables(observables, space) -> dict[str, Operator]:
     return {name: resolve_observable(expr, space, set(space.labels)) for name, expr in observables.items()}
 
 
+def _count(value: int, flag: str) -> int:
+    if value < 1:
+        raise SLHNetError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -270,7 +278,7 @@ def _build_generator(res, drives):
 
 
 def _run_simulation(res, args, drives, observables):
-    t_eval = np.linspace(args.t0, args.t1, args.samples)
+    t_eval = np.linspace(args.t0, args.t1, _count(args.samples, "--samples"))
     mode, gen = _build_generator(res, drives)
     obs_ops = _resolve_observables(observables, res.triple.space)
     limit = None if args.no_guard else args.trunc_guard
@@ -314,13 +322,16 @@ def cmd_simulate(args) -> int:
             _write(trajectory_csv(times, columns), out_path)
 
     if args.sweep:
-        target, rng = args.sweep.split("=", 1)
-        inst_name, param = target.strip().rsplit(".", 1)
-        lo, hi, count = rng.split(":")
-        values = np.linspace(float(lo), float(hi), int(count))
         nd = parse(_load(args.file))
-
-        import copy
+        try:
+            target, rng = args.sweep.split("=", 1)
+            inst_name, param = target.strip().rsplit(".", 1)
+            lo, hi, count = rng.split(":")
+            values = np.linspace(float(lo), float(hi), _count(int(count), "the --sweep count"))
+        except ValueError:
+            raise SLHNetError(f"--sweep needs inst.param=lo:hi:n, got {args.sweep!r}") from None
+        if inst_name not in {inst.name for inst in nd.instances}:
+            raise SLHNetError(f"--sweep names unknown instance {inst_name!r}")
 
         def run_one(k_value):
             k, value = k_value
@@ -335,7 +346,7 @@ def cmd_simulate(args) -> int:
             emit(times, columns, out)
             return out
 
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(len(values), os.cpu_count() or 1)) as pool:
             outs = list(pool.map(run_one, enumerate(values)))
         print("\n".join(outs))
         return 0
@@ -363,7 +374,7 @@ def cmd_steady_state(args) -> int:
 def cmd_transfer_function(args) -> int:
     res = _compose(args.file)
     model = extract_linear(res.triple)
-    omegas = np.linspace(args.wmin, args.wmax, args.n)
+    omegas = np.linspace(args.wmin, args.wmax, _count(args.n, "--n"))
     n = model.D.shape[0]
     header = ["omega"]
     for i in range(n):
@@ -397,8 +408,10 @@ def cmd_eliminate(args) -> int:
             kept[lbl] = 0
         elif spec == "excited":
             kept[lbl] = 1
-        else:
+        elif spec.isdigit():
             kept[lbl] = int(spec)
+        else:
+            raise SLHNetError(f"--p0 {lbl}={spec}: expected a level number or any|keep|vacuum|ground|excited")
     P0 = projector_from_states(space, kept)
     reduced = eliminate_triple(res.triple, P0, unitarity_tol=args.unitarity_tol)
     _write(triple_to_json(reduced) + "\n", args.output)
@@ -462,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-guard", action="store_true")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--sweep", default=None, help="inst.param=lo:hi:n parameter sweep")
-    p.add_argument("--workers", type=int, default=4)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("steady-state", help="null-space steady state and observables")

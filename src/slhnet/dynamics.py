@@ -13,7 +13,9 @@ A drive amplitude alpha(t) on port j always enters through the series
 product of the displacement source with the network,
 ``(S, L + S_:j alpha, H + Im(L^ S_:j alpha))``: the coherent drive, the
 Gaussian mean field and the hierarchy's wavepacket coupling all take
-their drive matrices from one builder, ``_drive_matrices``.
+their drive matrices from one builder, ``_drive``.  Every sandwich
+rho -> A rho B comes from ``_sandwich``, and the Fock hierarchy is a
+``Superoperator`` over its stacked blocks.
 
 Also here: Heisenberg-picture coefficient extraction, input-output
 structure, an adaptive/fixed-step integrator whose guards stop on trace
@@ -53,6 +55,7 @@ from .hilbert import (
     _factor,
     _top_populations,
     commutator,
+    identity,
 )
 from .slh import SLHTriple
 
@@ -175,7 +178,7 @@ class GaussianEnv:
 
 
 class Superoperator:
-    """Matrix acting on vec(rho), possibly with scalar-envelope terms."""
+    """Matrix acting on vec(rho) or on stacked blocks of it, possibly with scalar-envelope terms."""
 
     __slots__ = ("space", "static", "terms")
 
@@ -184,8 +187,8 @@ class Superoperator:
         if static is None:
             static = sp.csr_matrix((d2, d2), dtype=np.complex128)
         static = sp.csr_matrix(static, dtype=np.complex128)
-        if static.shape != (d2, d2):
-            raise ConstructionError(f"superoperator shape {static.shape} != ({d2}, {d2})")
+        if static.shape[0] != static.shape[1] or static.shape[0] % d2:
+            raise ConstructionError(f"superoperator shape {static.shape} is not square with side a multiple of {d2}")
         self.space = space
         self.static = static
         self.terms = tuple(terms)
@@ -213,8 +216,8 @@ class Superoperator:
         return out
 
     def __add__(self, other: "Superoperator") -> "Superoperator":
-        if self.space != other.space:
-            raise ConstructionError("superoperators live on different spaces")
+        if self.space != other.space or self.static.shape != other.static.shape:
+            raise ConstructionError("superoperators differ in space or in block count")
         return Superoperator(self.space, self.static + other.static, self.terms + other.terms)
 
     def __mul__(self, z: complex) -> "Superoperator":
@@ -264,21 +267,11 @@ def _sandwich(space: LabeledSpace, A: Operator, B: Operator) -> Superoperator:
 
 
 def spre(space: LabeledSpace, A: Operator) -> Superoperator:
-    A = A.embed(space)
-    eye = sp.identity(space.total_dim, dtype=np.complex128, format="csr")
-    terms = []
-    static = sp.kron(A.static, eye, format="csr")
-    for c, m in A.terms:
-        terms.append((c, sp.kron(m, eye, format="csr")))
-    return Superoperator(space, static, tuple(terms))
+    return _sandwich(space, A, identity(space))
 
 
 def spost(space: LabeledSpace, B: Operator) -> Superoperator:
-    B = B.embed(space)
-    eye = sp.identity(space.total_dim, dtype=np.complex128, format="csr")
-    static = sp.kron(eye, B.static.T, format="csr")
-    terms = [(c, sp.kron(eye, m.T, format="csr")) for c, m in B.terms]
-    return Superoperator(space, static, tuple(terms))
+    return _sandwich(space, identity(space), B)
 
 
 def lindblad_dissipator(space: LabeledSpace, L: Operator) -> Superoperator:
@@ -302,24 +295,26 @@ def _static_or_raise(op: Operator, what: str) -> Operator:
     return op
 
 
-def _drive_matrices(g: SLHTriple, port: int):
-    """Superoperator matrices of a drive alpha(t) on input ``port``.
+def _drive(g: SLHTriple, alpha, port: int) -> Superoperator:
+    """The drive part of the generator for amplitude alpha(t) on ``port``.
 
     Cascading the displacement source (1, alpha, 0) into the port gives
     (S, L + S_:j alpha, H + Im(L^ S_:j alpha)), whose generator is the
     vacuum one plus alpha m_alpha + alpha* m_conj + |alpha|^2 m_gauge with
     m_alpha = [S_:j rho, L^], m_conj = [L, rho S_:j^] and
-    m_gauge = S_:j rho S_:j^ - rho (zero for a scalar-phase S).
+    m_gauge = S_:j rho S_:j^ - rho (zero for a scalar-phase S).  A
+    time-dependent alpha gives the terms (alpha, m_alpha),
+    (alpha*, m_conj) and (|alpha|^2, m_gauge), in that order.
     """
     if not 1 <= port <= g.n_ports:
         raise ValidationError(f"port {port} out of range 1..{g.n_ports}")
+    env = alpha if isinstance(alpha, Envelope) else as_envelope(alpha)
     space = g.space
     d = space.total_dim
-    j = port - 1
     eye = sp.identity(d, dtype=np.complex128, format="csr")
     m_alpha = m_conj = gauge = None
     for i in range(g.n_ports):
-        Sij = _static_or_raise(g.S[i, j], "scattering entry").embed(space).constant()
+        Sij = _static_or_raise(g.S[i, port - 1], "scattering entry").embed(space).constant()
         Li = _static_or_raise(g.L[i], "coupling fed by a coherent drive").embed(space).constant()
         t1 = sp.kron(Sij, Li.conj(), format="csr") - sp.kron(Li.conj().T @ Sij, eye, format="csr")
         t2 = sp.kron(Li, Sij.conj(), format="csr") - sp.kron(eye, (Sij.conj().T @ Li).T, format="csr")
@@ -328,22 +323,15 @@ def _drive_matrices(g: SLHTriple, port: int):
         m_conj = t2 if m_conj is None else m_conj + t2
         gauge = t3 if gauge is None else gauge + t3
     m_gauge = sp.csr_matrix(gauge - sp.identity(d * d, dtype=np.complex128, format="csr"))
-    return m_alpha, m_conj, m_gauge
-
-
-def _drive(g: SLHTriple, alpha, port: int) -> Superoperator:
-    """The drive part of the generator for amplitude alpha(t) on ``port``."""
-    env = alpha if isinstance(alpha, Envelope) else as_envelope(alpha)
-    m_alpha, m_conj, m_gauge = _drive_matrices(g, port)
     if isinstance(env, ConstantAmplitude):
         a0 = env.value
-        return Superoperator(g.space, a0 * m_alpha + np.conj(a0) * m_conj + abs(a0) ** 2 * m_gauge)
+        return Superoperator(space, a0 * m_alpha + np.conj(a0) * m_conj + abs(a0) ** 2 * m_gauge)
     terms = (
         (env, m_alpha),
         (_conj_coeff(env), m_conj),
         (lambda t: abs(env(t)) ** 2, m_gauge),
     )
-    return Superoperator(g.space, None, terms)
+    return Superoperator(space, None, terms)
 
 
 def liouvillian_coherent(g: SLHTriple, alpha, port: int = 1) -> Superoperator:
@@ -390,11 +378,7 @@ def liouvillian_gaussian(g: SLHTriple, env: GaussianEnv) -> Superoperator:
         out = out + env.N * lindblad_dissipator(space, L.dag())
     if M:
         for z, X in ((0.5 * M, L.dag()), (0.5 * np.conj(M), L)):
-            X2 = (X * X).embed(space).constant()
-            Xm = X.embed(space).constant()
-            eye = sp.identity(space.total_dim, dtype=np.complex128, format="csr")
-            dbl = sp.kron(X2, eye) - 2.0 * sp.kron(Xm, Xm.T) + sp.kron(eye, X2.T)
-            out = out + Superoperator(space, z * dbl)
+            out = out + z * (spre(space, X * X) + (-2.0) * _sandwich(space, X, X) + spost(space, X * X))
     if env.alpha is not None:
         out = out + _drive(g, env.alpha, 1)
     return out
@@ -553,12 +537,13 @@ class FockHierarchyState:
         )
 
 
-class FockHierarchy:
+class FockHierarchy(Superoperator):
     """Coupled master equations for an input wavepacket in a Fock mixture.
 
     ``field_coeffs`` is either an integer N (pure N-photon input) or the
     (N+1)x(N+1) coefficient matrix c_{m,n} of the field state in the
-    wavepacket Fock basis.  The hierarchy couples block (m, n) downward
+    wavepacket Fock basis.  The hierarchy is a :class:`Superoperator` over
+    the (N+1)^2 stacked blocks rho_{m,n}; it couples block (m, n) downward
     to (m-1, n), (m, n-1) and (m-1, n-1) only.
     """
 
@@ -567,7 +552,7 @@ class FockHierarchy:
         if not g.is_static():
             raise UnsupportedConfigurationError("the Fock hierarchy needs a static triple")
         # sqrt(m) xi(t) [S rho, L^], sqrt(n) xi*(t) [L, rho S^], sqrt(mn) |xi(t)|^2 gauge
-        m_xi, m_xic, m_abs2 = _drive_matrices(g, driven_port)
+        drive = _drive(g, envelope, driven_port)
         if isinstance(field_coeffs, (int, np.integer)):
             n = int(field_coeffs)
             c = np.zeros((n + 1, n + 1), dtype=complex)
@@ -578,14 +563,9 @@ class FockHierarchy:
                 raise ValidationError("field_coeffs must be a square matrix")
             if abs(np.trace(c) - 1.0) > TOL_TRACE:
                 raise ValidationError(f"field coefficients must have unit trace, got {np.trace(c):.8g}")
-        self.g = g
         self.envelope = envelope
         self.c = c
         self.n_max = c.shape[0] - 1
-        self.driven_port = driven_port
-        self.space = g.space
-        j = driven_port - 1
-
         nb = self.n_max + 1
 
         def ladder(dm, dn):
@@ -597,14 +577,14 @@ class FockHierarchy:
                 shape=(nb * nb, nb * nb),
             )
 
-        self._static = sp.kron(sp.identity(nb * nb, format="csr"), liouvillian(g).static, format="csr")
-        self._terms = () if nb == 1 else (
-            (envelope, sp.kron(ladder(1, 0), m_xi, format="csr")),
-            (_conj_coeff(envelope), sp.kron(ladder(0, 1), m_xic, format="csr")),
-            (lambda t: abs(envelope(t)) ** 2, sp.kron(ladder(1, 1), m_abs2, format="csr")),
+        terms = () if nb == 1 else tuple(
+            (coeff, sp.kron(ladder(*shift), m, format="csr"))
+            for shift, (coeff, m) in zip(((1, 0), (0, 1), (1, 1)), drive.terms)
         )
+        static = sp.kron(sp.identity(nb * nb, format="csr"), liouvillian(g).static, format="csr")
+        super().__init__(g.space, static, terms)
         # flux ingredients: vec of sum_i L_i^ L_i, sum_i S_ij^ L_i, sum_i L_i^ S_ij
-        per_port = [(L.dag() * L, S.dag() * L, L.dag() * S) for L, S in zip(g.L, g.S[:, j])]
+        per_port = [(L.dag() * L, S.dag() * L, L.dag() * S) for L, S in zip(g.L, g.S[:, driven_port - 1])]
         self._flux = [sum(vectorize(op.embed(self.space)) for op in ops) for ops in zip(*per_port)]
 
     # -- state handling ------------------------------------------------------
@@ -619,15 +599,6 @@ class FockHierarchy:
     def unpack(self, y: np.ndarray, t=0.0) -> FockHierarchyState:
         """State from packed blocks; a 2-D ``y`` with sample times ``t`` stacks samples."""
         return FockHierarchyState(y, self.space, self.c, self.envelope, t)
-
-    def rhs(self) -> Callable[[float, np.ndarray], np.ndarray]:
-        def fn(t, y):
-            out = self._static @ y
-            for coeff, m in self._terms:
-                out = out + complex(coeff(t)) * (m @ y)
-            return out
-
-        return fn
 
     # -- derived quantities ----------------------------------------------------
 
@@ -793,6 +764,13 @@ def _density_guard(space: LabeledSpace, truncation_guard: float | None):
     return guard
 
 
+def _require_density_generator(generator: Superoperator, what: str) -> None:
+    if generator.static.shape[0] != generator.dim**2:
+        raise UnsupportedConfigurationError(
+            f"{what} takes one block, not a block-stacked hierarchy; use evolve_hierarchy"
+        )
+
+
 def evolve_density(
     generator: Superoperator,
     rho0: Operator | DensityState,
@@ -806,6 +784,7 @@ def evolve_density(
     truncation_guard: float | None = TRUNC_GUARD,
 ) -> DensityTrajectory:
     """Integrate a master equation; never silently renormalizes."""
+    _require_density_generator(generator, "evolve_density")
     if isinstance(rho0, DensityState):
         rho0 = rho0.rho
     rho0 = rho0.embed(generator.space)
@@ -865,6 +844,7 @@ def steady_state(generator: Superoperator) -> DensityState:
     ``STEADY_RESIDUAL_TOL * ||A||_1`` means it is trivial.  Both raise
     :class:`SteadyStateError`.
     """
+    _require_density_generator(generator, "steady_state")
     if not generator.is_static:
         raise UnsupportedConfigurationError("steady state needs a time-independent generator")
     M = generator.static

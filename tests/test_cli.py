@@ -230,6 +230,29 @@ class TestOtherCommands:
         assert "error: --drive needs port=spec" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "driven_cavity.qnet", "--t1", "1", "--sweep", "cavgamma"],
+            ["simulate", "driven_cavity.qnet", "--t1", "1", "--sweep", "cav.gamma=1:2"],
+            ["simulate", "driven_cavity.qnet", "--t1", "1", "--sweep", "cav.gamma=1:2:x"],
+            ["simulate", "driven_cavity.qnet", "--t1", "1", "--sweep", "nope.gamma=1:2:2"],
+            ["simulate", "driven_cavity.qnet", "--t1", "1", "--samples", "-1"],
+            ["transfer-function", "driven_cavity.qnet", "--n", "-1"],
+            ["eliminate", "jc_cavity.qnet", "--p0", "jc.mode=vac,jc.qubit=any"],
+        ],
+        ids=["sweep-no-eq", "sweep-two-fields", "sweep-bad-count", "sweep-unknown-instance",
+             "negative-samples", "negative-n", "p0-bad-level"],
+    )
+    def test_bad_argument_is_an_error_line(self, argv):
+        out = subprocess.run(
+            [sys.executable, "-m", "slhnet.cli", argv[0], str(NETWORKS / argv[1]), *argv[2:]],
+            capture_output=True, text=True, cwd=str(NETWORKS.parent),
+        )
+        assert out.returncode == 1
+        assert out.stderr.startswith("error: ")
+        assert "Traceback" not in out.stderr
+
     def test_version_subprocess(self):
         out = subprocess.run(
             [sys.executable, "-m", "slhnet.cli", "--version"],

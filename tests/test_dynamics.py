@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import random_hermitian, random_triple
 
@@ -17,22 +18,27 @@ from slhnet.dynamics import (
     DensityTrajectory,
     GaussianEnv,
     Superoperator,
+    _sandwich,
     evolve_density,
     evolve_hierarchy,
     fock_hierarchy,
     format_value,
     heisenberg_coefficients,
     integrate,
+    lindblad_dissipator,
     liouvillian,
     liouvillian_coherent,
     liouvillian_gaussian,
     output_relations,
+    spost,
+    spre,
     steady_state,
     trajectory_csv,
     vectorize,
 )
 from slhnet.envelopes import GaussianPulse
 from slhnet.errors import (
+    ConstructionError,
     SteadyStateError,
     TraceDriftError,
     TruncationGuardError,
@@ -507,6 +513,86 @@ class TestStackedExpectations:
         flux = hier.mean_photon_flux(states, times)
         assert np.abs(flux - [hier.mean_photon_flux(s, t) for t, s in zip(times, states)]).max() < 1e-13
         assert flux.max() > 0.1
+
+
+class TestSuperoperatorBuilders:
+    """Every builder against the dense definition of the map it stands for."""
+
+    TIMES = (0.0, 0.7, 2.5)
+
+    @pytest.fixture
+    def ops(self, rng):
+        space = LabeledSpace([("c", 3), ("q", 2)])
+        # A carries a Gaussian-envelope term on the cavity factor alone (so it
+        # is embedded), B a complex time coefficient
+        A = random_hermitian(rng, space) + destroy("c", 3).scaled_by(GaussianPulse(t0=1.0, sigma=1.0))
+        B = random_hermitian(rng, space) + (1j * sigma_minus("q")).scaled_by(lambda t: (0.3 + 0.8j) * np.exp(-t))
+        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        rho = m @ m.conj().T
+        return space, A, B, rho / np.trace(rho)
+
+    def check(self, sup, dense_map, rho):
+        for t in self.TIMES:
+            got = sup.apply(vectorize(rho), t).reshape(rho.shape)
+            assert np.abs(got - dense_map(t, rho)).max() < 1e-12
+
+    def test_spre_spost_sandwich(self, ops):
+        space, A, B, rho = ops
+        self.check(spre(space, A), lambda t, r: A.toarray(t) @ r, rho)
+        self.check(spost(space, B), lambda t, r: r @ B.toarray(t), rho)
+        self.check(_sandwich(space, A, B), lambda t, r: A.toarray(t) @ r @ B.toarray(t), rho)
+
+    def test_lindblad_dissipator(self, ops):
+        space, A, B, rho = ops
+        L = A + B
+
+        def dense(t, r):
+            l = L.toarray(t)
+            ldl = l.conj().T @ l
+            return l @ r @ l.conj().T - 0.5 * (ldl @ r + r @ ldl)
+
+        self.check(lindblad_dissipator(space, L), dense, rho)
+
+    def test_gaussian_thermal_and_squeezing_part(self, ops, rng):
+        space, _, _, rho = ops
+        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        g = SLHTriple(1, [Operator(space, m)], random_hermitian(rng, space))
+        N, M = 0.5, 0.3
+        extra = liouvillian_gaussian(g, GaussianEnv(N=N, M=M)) + (-1.0) * liouvillian(g)
+
+        def D(x, r):
+            xdx = x.conj().T @ x
+            return x @ r @ x.conj().T - 0.5 * (xdx @ r + r @ xdx)
+
+        def comm(x, y):
+            return x @ y - y @ x
+
+        def dense(t, r):
+            ld = m.conj().T
+            return (N * (D(m, r) + D(ld, r)) + 0.5 * M * comm(ld, comm(ld, r))
+                    + 0.5 * np.conj(M) * comm(m, comm(m, r)))
+
+        self.check(extra, dense, rho)
+
+    @pytest.mark.parametrize("shape", [(36, 72), (40, 40)], ids=["non-square", "not-multiple-of-d2"])
+    def test_shape_must_be_square_multiple_of_d2(self, shape):
+        space = LabeledSpace([("c", 6)])
+        with pytest.raises(ConstructionError, match="multiple of 36"):
+            Superoperator(space, sp.csr_matrix(shape, dtype=complex))
+
+    def test_block_stacked_generator_is_refused(self):
+        cav = one_sided_cavity(1.0, 0.0, truncation=3, label="c")
+        hier = fock_hierarchy(cav, GaussianPulse(t0=3.0, sigma=1.0), 1)
+        assert isinstance(hier, Superoperator) and hier.static.shape == (36, 36)
+        stacked = Superoperator(cav.space, hier.static)
+        rho0 = fock_density(cav.space, {"c": 0})
+        with pytest.raises(UnsupportedConfigurationError, match="evolve_hierarchy"):
+            steady_state(stacked)
+        for gen in (hier, stacked):
+            with pytest.raises(UnsupportedConfigurationError, match="evolve_hierarchy"):
+                evolve_density(gen, rho0, (0, 1.0))
+        with pytest.raises(ConstructionError, match="block count"):
+            hier + liouvillian(cav)
 
 
 class TestSteadyState:
