@@ -13,6 +13,7 @@ factor label; multi-factor components append a role suffix, e.g.
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -611,14 +612,12 @@ _BUILDERS: dict[str, Callable[..., SLHTriple]] = {
     "dispersion_cavity": dispersion_cavity,
 }
 
-_NO_TRUNCATION = {
-    "phase_shifter", "beamsplitter", "loss_beamsplitter", "circulator_ideal",
-    "circulator_nonideal", "coherent_source", "tla_waveguide",
-}
-_NO_LABEL = {
-    "phase_shifter", "beamsplitter", "loss_beamsplitter", "circulator_ideal",
-    "circulator_nonideal", "coherent_source",
-}
+def _kinds_without(param: str) -> frozenset[str]:
+    return frozenset(k for k, b in _BUILDERS.items() if param not in inspect.signature(b).parameters)
+
+
+_NO_TRUNCATION = _kinds_without("truncation")
+_NO_LABEL = _kinds_without("label")
 
 #: machine-readable parameter schema per kind, consumed by the DSL front end
 KIND_SCHEMAS: dict[str, dict] = {

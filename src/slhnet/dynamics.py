@@ -34,7 +34,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import RK45
 
 from .envelopes import ConstantAmplitude, Envelope, as_envelope
 from .errors import (
@@ -676,6 +675,8 @@ def integrate(
         guard(t0, states[0])
 
     if method == "adaptive":
+        from scipy.integrate import RK45  # deferred: scipy.integrate is slow to import
+
         solver = RK45(rhs, t0, states[0].copy(), t_eval[-1], rtol=rtol, atol=atol)
         for k in range(1, t_eval.size):
             solver.t_bound, solver.status = t_eval[k], "running"
@@ -722,9 +723,6 @@ class DensityTrajectory:
     @cached_property
     def states(self) -> list[Operator]:
         return [unvectorize(y, self.space) for y in self.array]
-
-    def final(self) -> DensityState:
-        return DensityState(unvectorize(self.array[-1], self.space), float(self.times[-1]))
 
     def expect(self, op: Operator) -> np.ndarray:
         """tr(X rho) at every sample, as vec(rho) . vec(X^T) row by row."""

@@ -17,8 +17,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc
 
 from .errors import ValidationError
 
@@ -44,6 +42,8 @@ class Envelope:
         hi = self.support()[1]
         if t >= hi:
             return 0.0
+        from scipy.integrate import quad  # deferred: scipy.integrate is slow to import
+
         val, _ = quad(lambda s: abs(self(s)) ** 2, t, hi, limit=200)
         return float(val)
 
@@ -104,7 +104,7 @@ class GaussianPulse(Envelope):
         return self._amp * math.exp(-((t - self.t0) ** 2) / (4.0 * self.sigma**2))
 
     def tail_weight(self, t):
-        return 0.5 * float(erfc((t - self.t0) / (math.sqrt(2.0) * self.sigma)))
+        return 0.5 * math.erfc((t - self.t0) / (math.sqrt(2.0) * self.sigma))
 
     def support(self):
         return (self.t0 - 8.0 * self.sigma, self.t0 + 8.0 * self.sigma)

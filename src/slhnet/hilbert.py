@@ -317,10 +317,6 @@ def commutator(x: Operator, y: Operator) -> Operator:
     return x * y - y * x
 
 
-def anticommutator(x: Operator, y: Operator) -> Operator:
-    return x * y + y * x
-
-
 def op_close(
     x: Operator,
     y: Operator,

@@ -10,14 +10,15 @@ checking the residual, so numerically tiny nonlinear remnants below
 
 Passive systems (no a^dag couplings, no squeezing terms) use the plain
 m-mode form; anything else uses the doubled-up 2m-dimensional form with
-the flat involution  M^flat = J M^dag J.
+the flat involution  M^flat = J M^dag J.  Realizability and the inverse
+map read only the doubled-up form (``LinearModel.doubled``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -58,32 +59,29 @@ class LinearModel:
         return len(self.mode_labels)
 
     def doubled(self) -> "LinearModel":
-        """The active (doubled-up) view; identity on active models."""
+        """The active (doubled-up) view; identity on active models.
+
+        A passive model doubles to the block diagonal ``[[X, 0], [0, X*]]``
+        of its own A, B, C and D.
+        """
         if self.form == "active":
             return self
-        m, n = self.n_modes, self.n_ports
-        Phi_t = np.block([
-            [self.Phi_minus, np.zeros((n, m))],
-            [np.zeros((n, m)), self.Phi_minus.conj()],
-        ])
-        Omega_t = np.block([
-            [self.Omega_minus, np.zeros((m, m))],
-            [np.zeros((m, m)), -self.Omega_minus.conj()],
-        ])
-        D_t = np.block([
-            [self.D, np.zeros((n, n))],
-            [np.zeros((n, n)), self.D.conj()],
-        ])
-        A_t = -0.5 * _flat(Phi_t, m, n) @ Phi_t - 1j * Omega_t
-        B_t = -_flat(Phi_t, m, n) @ D_t
-        return LinearModel(
-            "active", A_t, B_t, Phi_t, D_t, self.mode_labels, self.n_ports,
-            self.Phi_minus, np.zeros((n, m)), self.Omega_minus, np.zeros((m, m)),
+        return replace(
+            self, form="active",
+            A=_blockdiag(self.A, self.A.conj()), B=_blockdiag(self.B, self.B.conj()),
+            C=_blockdiag(self.C, self.C.conj()), D=_blockdiag(self.D, self.D.conj()),
         )
 
     def hurwitz_margin(self) -> float:
         """Largest real part among the eigenvalues of A (stable if <= 0)."""
         return float(np.max(np.linalg.eigvals(self.A).real))
+
+
+def _blockdiag(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    return np.block([
+        [X, np.zeros((X.shape[0], Y.shape[1]))],
+        [np.zeros((Y.shape[0], X.shape[1])), Y],
+    ])
 
 
 def _J(k: int) -> np.ndarray:
@@ -267,7 +265,7 @@ def extract_linear(g: SLHTriple, tol: float = TOL_LIN) -> LinearModel:
 
     Phi_t = np.block([[Phi_minus, Phi_plus], [Phi_plus.conj(), Phi_minus.conj()]])
     Omega_t = np.block([[Omega_minus, Omega_plus], [-Omega_plus.conj(), -Omega_minus.conj()]])
-    D_t = np.block([[D, np.zeros((n, n))], [np.zeros((n, n)), D.conj()]])
+    D_t = _blockdiag(D, D.conj())
     A_t = -0.5 * _flat(Phi_t, m, n) @ Phi_t - 1j * Omega_t
     B_t = -_flat(Phi_t, m, n) @ D_t
     return LinearModel("active", A_t, B_t, Phi_t, D_t, labels, n,
@@ -278,13 +276,17 @@ def extract_linear(g: SLHTriple, tol: float = TOL_LIN) -> LinearModel:
 # frequency domain
 
 
-def _tf(A, B, C, D, s: complex) -> np.ndarray:
+def _shifted(A: np.ndarray, s: complex) -> np.ndarray:
+    """sI - A, refusing an s at (or numerically at) an eigenvalue of A."""
     lam = np.linalg.eigvals(A)
     scale = max(1.0, float(np.abs(lam).max()) if lam.size else 1.0)
     if np.min(np.abs(s - lam)) < 1e-12 * scale:
-        raise ValidationError(f"s = {s} is a pole of the transfer function")
-    X = np.linalg.solve(s * np.eye(A.shape[0]) - A, B)
-    return D + C @ X
+        raise ValidationError(f"s = {s} is a pole (an eigenvalue of A)")
+    return s * np.eye(A.shape[0]) - A
+
+
+def _tf(A, B, C, D, s: complex) -> np.ndarray:
+    return D + C @ np.linalg.solve(_shifted(A, s), B)
 
 
 def transfer_function(model: LinearModel, s: complex) -> np.ndarray:
@@ -295,12 +297,7 @@ def transfer_function(model: LinearModel, s: complex) -> np.ndarray:
 
 def initial_condition_response(model: LinearModel, s: complex) -> np.ndarray:
     """xi(s) = C (sI - A)^-1, the weight of the initial internal state."""
-    s = complex(s)
-    lam = np.linalg.eigvals(model.A)
-    scale = max(1.0, float(np.abs(lam).max()) if lam.size else 1.0)
-    if np.min(np.abs(s - lam)) < 1e-12 * scale:
-        raise ValidationError(f"s = {s} is a pole")
-    return model.C @ np.linalg.inv(s * np.eye(model.A.shape[0]) - model.A)
+    return model.C @ np.linalg.inv(_shifted(model.A, complex(s)))
 
 
 class QuadratureModel(NamedTuple):
@@ -362,12 +359,10 @@ def realizability_check(model: LinearModel) -> RealizabilityReport:
     dbl = model.doubled()
     m, n = dbl.n_modes, dbl.n_ports
     A, B, C, D = dbl.A, dbl.B, dbl.C, dbl.D
-    A_flat = _J(m) @ A.conj().T @ _J(m)
     C_flat = _flat(C, m, n)
-    D_flat = _J(n) @ D.conj().T @ _J(n)
-    r1 = np.abs(A + A_flat + C_flat @ C).max()
+    r1 = np.abs(A + _flat(A, m, m) + C_flat @ C).max()
     r2 = np.abs(B + C_flat @ D).max()
-    r3 = np.abs(D_flat @ D - np.eye(2 * n)).max()
+    r3 = np.abs(_flat(D, n, n) @ D - np.eye(2 * n)).max()
     return RealizabilityReport(float(r1), float(r2), float(r3))
 
 
@@ -377,49 +372,36 @@ def abcd_to_slh(
     labels: Sequence[str] | None = None,
     tol: float = 1e-9,
 ) -> SLHTriple:
-    """Invert the extraction: S = D, L = C a, H = a^ [i(A + C^C/2)] a
-    (doubled-up analog for active models).  Round-trips with
+    """Invert the extraction on the doubled-up form: S = D, L = C (a, a^),
+    H from the blocks of i(A + C^flat C / 2).  Round-trips with
     ``extract_linear`` on realizable inputs."""
-    report = realizability_check(model)
+    dbl = model.doubled()
+    report = realizability_check(dbl)
     if not report.passed(tol):
         raise UnrealizableError(f"model is not physically realizable: {report}")
     labels = tuple(labels) if labels is not None else model.mode_labels
-    m = model.n_modes
+    m, n = model.n_modes, model.n_ports
     if len(labels) != m:
         raise ValidationError(f"need {m} mode labels, got {len(labels)}")
     a_ops = [destroy(lbl, truncation) for lbl in labels]
 
-    if model.form == "passive":
-        Omega = 1j * (model.A + 0.5 * model.C.conj().T @ model.C)
-        herm = np.abs(Omega - Omega.conj().T).max()
-        if herm > 10 * tol:
-            raise UnrealizableError(f"recovered Hamiltonian matrix not Hermitian ({herm:.2e})")
-        Omega = 0.5 * (Omega + Omega.conj().T)
-        Phi = model.C
-        D = model.D
-        Phi_plus = np.zeros_like(Phi)
-        Omega_plus = np.zeros_like(Omega)
-    else:
-        m2 = 2 * m
-        C_flat = _flat(model.C, m, model.n_ports)
-        Omega_t = 1j * (model.A + 0.5 * C_flat @ model.C)
-        Omega = Omega_t[:m, :m]
-        Omega_plus = Omega_t[:m, m:]
-        block_err = max(
-            np.abs(Omega_t[m:, :m] + Omega_plus.conj()).max(),
-            np.abs(Omega_t[m:, m:] + Omega.conj()).max(),
+    Omega_t = 1j * (dbl.A + 0.5 * _flat(dbl.C, m, n) @ dbl.C)
+    Omega = Omega_t[:m, :m]
+    Omega_plus = Omega_t[:m, m:]
+    block_err = max(
+        np.abs(Omega_t[m:, :m] + Omega_plus.conj()).max(),
+        np.abs(Omega_t[m:, m:] + Omega.conj()).max(),
+    )
+    if block_err > 10 * tol:
+        raise UnrealizableError(
+            f"doubled-up Hamiltonian block symmetry violated ({block_err:.2e})"
         )
-        if block_err > 10 * tol:
-            raise UnrealizableError(
-                f"doubled-up Hamiltonian block symmetry violated ({block_err:.2e})"
-            )
-        Omega = 0.5 * (Omega + Omega.conj().T)
-        Omega_plus = 0.5 * (Omega_plus + Omega_plus.T)
-        Phi = model.C[: model.n_ports, :m]
-        Phi_plus = model.C[: model.n_ports, m:]
-        D = model.D[: model.n_ports, : model.n_ports]
+    Omega = 0.5 * (Omega + Omega.conj().T)
+    Omega_plus = 0.5 * (Omega_plus + Omega_plus.T)
+    Phi = dbl.C[:n, :m]
+    Phi_plus = dbl.C[:n, m:]
+    D = dbl.D[:n, :n]
 
-    n = D.shape[0]
     L = []
     for i in range(n):
         acc = None

@@ -33,7 +33,7 @@ from .envelopes import (
     SquarePulse,
 )
 from .errors import AlgebraicLoopError, CompositionError, ElaborationError, ParseError
-from .hilbert import LabeledSpace, Operator, coherent_vector, density_from_vector
+from .hilbert import LabeledSpace, Operator, coherent_vector, product_density
 from .slh import SLHTriple, concat, feedback_multi
 
 # --------------------------------------------------------------------------
@@ -621,38 +621,26 @@ def _initial_state(nd, triples, space: LabeledSpace, instance_factors) -> Operat
             )
         for lbl, atom in zip(labels, st.atoms):
             factor_states[lbl] = _atom_vector((atom.kind, atom.arg), space.dim_of(lbl))
-    vec = np.array([1.0 + 0j])
-    for lbl, dim in space.factors:
-        v = factor_states.get(lbl)
-        if v is None:
-            v = np.zeros(dim, dtype=complex)
-            v[0] = 1.0
-        vec = np.kron(vec, v)
-    return density_from_vector(space, vec)
+    return product_density(space, factor_states)
 
 
 def _atom_vector(spec, dim: int) -> np.ndarray:
     kind, arg = spec if isinstance(spec, tuple) else (spec, None)
-    if kind == "vacuum":
-        v = np.zeros(dim, dtype=complex)
-        v[0] = 1.0
-        return v
-    if kind == "fock":
-        n = int(arg)
-        if n >= dim:
-            raise ElaborationError(f"fock({n}) does not fit in a dim-{dim} factor")
-        v = np.zeros(dim, dtype=complex)
-        v[n] = 1.0
-        return v
     if kind == "coherent":
         return coherent_vector(dim, complex(arg))
-    if kind == "qubit":
+    if kind == "vacuum":
+        level = 0
+    elif kind == "fock":
+        level = int(arg)
+        if level >= dim:
+            raise ElaborationError(f"fock({level}) does not fit in a dim-{dim} factor")
+    elif kind == "qubit":
         if dim != 2:
             raise ElaborationError(f"qubit state on a dim-{dim} factor")
-        v = np.zeros(2, dtype=complex)
-        v[1 if arg == "excited" else 0] = 1.0
-        return v
-    raise ElaborationError(f"unknown state spec {kind!r}")
+        level = 1 if arg == "excited" else 0
+    else:
+        raise ElaborationError(f"unknown state spec {kind!r}")
+    return np.eye(dim, dtype=complex)[level]
 
 
 def parse_file(path: str) -> NetworkDescription:

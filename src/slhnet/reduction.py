@@ -31,13 +31,14 @@ therefore takes an explicit tolerance for its validity checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .errors import AssumptionError, ValidationError
-from .hilbert import TOL_OP, LabeledSpace, Operator, basis_vector
+from .hilbert import TOL_OP, LabeledSpace, Operator
 from .slh import SLHTriple
 
 #: condition number above which Y is treated as singular on the fast subspace
@@ -134,56 +135,21 @@ def _slow_basis(P0: Operator, tol: float = 1e-9):
     if rank == 0:
         return None, np.zeros((dense.shape[0], 0), dtype=complex)
 
-    # try the structured route first: product of per-factor projectors
-    factor_keeps: list[tuple[str, int] | None] = []
-    structured = True
-    for lbl, dim in space.factors:
-        # partial trace of P0 over the other factors, normalized
-        from .hilbert import partial_trace
-
-        marg = partial_trace(Operator(space, dense), {lbl}).constant().toarray()
-        diag = np.real(np.diag(marg))
-        if np.allclose(marg, np.diag(np.diag(marg)), atol=1e-12):
-            active = diag > (diag.max() * 1e-9 if diag.max() > 0 else 0.5)
-            if active.sum() == dim:
-                factor_keeps.append((lbl, dim))
-                continue
-            if active.sum() == 1:
-                factor_keeps.append(None)
-                continue
-        structured = False
-        break
-    if structured:
-        kept_factors = [fk for fk in factor_keeps if fk is not None]
-        candidate = LabeledSpace(kept_factors)
-        if candidate.total_dim == rank:
-            from .hilbert import partial_trace as _pt
-
-            pinned = {}
-            for (lbl, dim), fk in zip(space.factors, factor_keeps):
-                if fk is None:
-                    mm = _pt(Operator(space, dense), {lbl}).constant().toarray()
-                    pinned[lbl] = int(np.argmax(np.real(np.diag(mm))))
-            cols = []
-            for idx in range(candidate.total_dim):
-                occ = _decode_index(candidate, idx)
-                occ.update(pinned)
-                cols.append(basis_vector(space, occ))
-            V = np.stack(cols, axis=1)
-            if np.abs(dense @ V - V).max() < 1e-9:  # V must span range(P0)
-                return candidate, V
-    V = v[:, keep]
-    return LabeledSpace([("slow", rank)]), V
-
-
-def _decode_index(space: LabeledSpace, idx: int) -> dict[str, int]:
-    occ = {}
-    dims = space.dims
-    labels = space.labels
-    for pos in range(len(dims) - 1, -1, -1):
-        occ[labels[pos]] = idx % dims[pos]
-        idx //= dims[pos]
-    return occ
+    # structured route: a diagonal P0 whose support is a product of
+    # per-factor supports, each one whole factor or one level
+    on = np.flatnonzero(np.real(np.diag(dense)) > 0.5)
+    if np.abs(dense - np.diag(np.diag(dense))).max() < tol and on.size == rank:
+        support = np.zeros(space.total_dim, dtype=bool)
+        support[on] = True
+        support = support.reshape(space.dims)
+        axes = range(support.ndim)
+        sizes = [
+            int(support.any(axis=tuple(a for a in axes if a != ax)).sum()) for ax in axes
+        ]
+        if all(n in (1, dim) for n, dim in zip(sizes, space.dims)) and math.prod(sizes) == rank:
+            kept = [(lbl, dim) for (lbl, dim), n in zip(space.factors, sizes) if n == dim]
+            return LabeledSpace(kept), np.eye(space.total_dim, dtype=complex)[:, on]
+    return LabeledSpace([("slow", rank)]), v[:, keep]
 
 
 def decompose(g_bar: SLHTriple, P0: Operator, tol: float = TOL_OP) -> EliminationProblem:

@@ -71,6 +71,20 @@ class TestCompose:
         assert "[src.out[1]->cav.in[1]]" in err
         assert "time-dependent couplings" in err
 
+    @pytest.mark.parametrize("state, message", [
+        ("fock(9)", "fock(9) does not fit in a dim-5 factor"),
+        ("qubit(excited)", "qubit state on a dim-5 factor"),
+    ])
+    def test_initial_state_that_does_not_fit_exit_3(self, tmp_path, capsys, state, message):
+        f = tmp_path / "state.qnet"
+        f.write_text(
+            "component c = one_sided_cavity(gamma=1.0, truncation=5);\n"
+            f"state c = {state};"
+        )
+        code, _, err = run_cli(["compose", f], capsys)
+        assert code == 3
+        assert message in err
+
 
 class TestSimulate:
     def test_driven_cavity_reaches_steady_state(self, tmp_path, capsys):

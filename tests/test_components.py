@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,22 @@ def test_catalog_triples_satisfy_invariants(kind):
     from slhnet.components import KIND_SCHEMAS
 
     assert g.n_ports == KIND_SCHEMAS[kind]["ports"]
+
+
+@pytest.mark.parametrize("kind", kinds())
+def test_schema_params_match_builder_signature(kind):
+    # every builder parameter but truncation/label is in the schema, with
+    # a trailing "?" exactly where the builder has a default; beamsplitter's
+    # matrix-valued `entries` has no schema type and is not exposed
+    from slhnet.components import _BUILDERS, KIND_SCHEMAS
+
+    params = inspect.signature(_BUILDERS[kind]).parameters
+    got = {name: p.default is not inspect.Parameter.empty
+           for name, p in params.items() if name not in ("truncation", "label")}
+    if kind == "beamsplitter":
+        del got["entries"]
+    want = {name: t.endswith("?") for name, t in KIND_SCHEMAS[kind]["params"].items()}
+    assert got == want
 
 
 def test_unknown_kind():

@@ -181,6 +181,36 @@ class TestRealizability:
         assert not rep.passed(1e-9)
         assert abs(rep.coupling_residual - 1e-3) < 1e-9
 
+    def test_perturbed_passive_model_fails(self):
+        # the passive model is checked through its own A, B, C, D, not
+        # through the coupling and Hamiltonian blocks it was built from
+        mod = extract_linear(one_sided_cavity(1.0, 0.3, truncation=5, label="c"))
+        mod.B = mod.B + 1e-3
+        rep = realizability_check(mod)
+        assert not rep.passed(1e-9)
+        assert abs(rep.coupling_residual - 1e-3) < 1e-9
+        assert "FAIL" in str(rep)
+
+        mod = extract_linear(one_sided_cavity(1.0, 0.3, truncation=5, label="c"))
+        mod.A = mod.A + 0.3
+        rep = realizability_check(mod)
+        assert abs(rep.commutation_residual - 0.6) < 1e-9
+        with pytest.raises(UnrealizableError, match="not physically realizable"):
+            abcd_to_slh(mod)
+
+    def test_passive_doubled_is_block_diagonal_of_own_abcd(self):
+        mod = extract_linear(fabry_perot(1.0, 0.5, 0.2, truncation=4, label="f"))
+        mod.A = mod.A + 0.1j  # doubling carries what the model holds, consistent or not
+        mod.B = mod.B + 1e-3
+        dbl = mod.doubled()
+        assert dbl.form == "active"
+        for X, Xd in ((mod.A, dbl.A), (mod.B, dbl.B), (mod.C, dbl.C), (mod.D, dbl.D)):
+            r, c = X.shape
+            assert Xd.shape == (2 * r, 2 * c)
+            assert np.array_equal(Xd[:r, :c], X)
+            assert np.array_equal(Xd[r:, c:], X.conj())
+            assert not Xd[:r, c:].any() and not Xd[r:, :c].any()
+
     def test_unit_cavity_model_passes(self):
         mod = LinearModel(
             "passive",

@@ -68,6 +68,31 @@ class TestDecompose:
         with pytest.raises(ValidationError):
             decompose(g, 0.5 * identity(g.space))
 
+    def test_product_projector_keeps_labels(self):
+        g = cavity_qed(1.0, 0.5, 0.2, trunc=4)
+        prob = decompose(g, projector_from_states(g.space, {"cav": 1, "atom": None}))
+        assert prob.slow_space.factors == (("atom", 2),)
+        # columns in the row-major order of the full space: |atom, cav=1>
+        want = np.stack([basis_vector(g.space, {"atom": k, "cav": 1}) for k in range(2)], axis=1)
+        assert np.array_equal(prob.slow_isometry, want)
+
+    def test_correlated_diagonal_projector_is_anonymous(self):
+        g = cavity_qed(1.0, 0.5, 0.2, trunc=4)
+        kets = [basis_vector(g.space, {"atom": k, "cav": k}) for k in range(2)]
+        P0 = Operator(g.space, sum(np.outer(k, k.conj()) for k in kets))
+        prob = decompose(g, P0)
+        assert prob.slow_space.factors == (("slow", 2),)
+        V = prob.slow_isometry
+        assert np.abs(P0.constant().toarray() @ V - V).max() < 1e-12
+
+    def test_rotated_rank_one_projector_is_anonymous(self):
+        g = cavity_qed(1.0, 0.5, 0.2, trunc=4)
+        ket = (basis_vector(g.space, {"atom": 0, "cav": 0})
+               + basis_vector(g.space, {"atom": 1, "cav": 0})) / np.sqrt(2)
+        prob = decompose(g, Operator(g.space, np.outer(ket, ket.conj())))
+        assert prob.slow_space.factors == (("slow", 1),)
+        assert abs(abs(np.vdot(prob.slow_isometry[:, 0], ket)) - 1.0) < 1e-12
+
 
 class TestAssumptions:
     def test_cavity_qed_passes(self):
