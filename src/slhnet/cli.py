@@ -310,16 +310,16 @@ def cmd_simulate(args) -> int:
     drives, observables = _drives_and_observables(args, res.triple.space)
 
     def emit(times, columns, out_path):
+        if args.format == "csv":
+            _write(trajectory_csv(times, columns), out_path)
+            return
         meta = {
             "triple_sha256": triple_hash(res.triple),
             "tolerances": {"atol": args.atol, "rtol": args.rtol},
             "determinism": "fixed-step, byte-reproducible" if args.method == "fixed" else "adaptive",
             "schema_version": SCHEMA_VERSION,
         }
-        if args.format == "json":
-            _write(trajectory_json(times, columns, meta) + "\n", out_path)
-        else:
-            _write(trajectory_csv(times, columns), out_path)
+        _write(trajectory_json(times, columns, meta) + "\n", out_path)
 
     if args.sweep:
         nd = parse(_load(args.file))

@@ -51,12 +51,6 @@ class Envelope:
         """Interval outside which the envelope is (numerically) zero."""
         return (-np.inf, np.inf)
 
-    def sample_times(self) -> tuple[float, ...]:
-        lo, hi = self.support()
-        lo = 0.0 if not np.isfinite(lo) else lo
-        hi = lo + 10.0 if not np.isfinite(hi) else hi
-        return tuple(np.linspace(lo, hi, 7))
-
     def norm_squared(self) -> float:
         lo, hi = self.support()
         lo = -50.0 if not np.isfinite(lo) else lo
@@ -221,9 +215,6 @@ class ConstantAmplitude(Envelope):
     def support(self):
         return (-np.inf, np.inf)
 
-    def sample_times(self):
-        return (0.0, 1.0, 5.0)
-
     def to_dict(self):
         return {"shape": "constant", "re": self.value.real, "im": self.value.imag}
 
@@ -245,9 +236,6 @@ class ScaledEnvelope(Envelope):
 
     def support(self):
         return self.base.support()
-
-    def sample_times(self):
-        return self.base.sample_times()
 
     def to_dict(self):
         return {
@@ -272,9 +260,6 @@ class SourceCoupling(Envelope):
 
     def support(self):
         return self.base.support()
-
-    def sample_times(self):
-        return self.base.sample_times()
 
     def to_dict(self):
         return {"shape": "source_coupling", "base": self.base.to_dict()}

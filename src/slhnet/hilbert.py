@@ -305,8 +305,6 @@ class Operator:
             tuple((_conj_coeff(c), m.conj().T.tocsr()) for c, m in self.terms),
         )
 
-    adjoint = dag
-
     def simplify(self) -> "Operator":
         """Drop numerically empty time-dependent terms."""
         terms = tuple((c, m) for c, m in self.terms if m.nnz)

@@ -38,8 +38,6 @@ class LinearModel:
     Passive: ``a' = A a + B b_in``, ``b_out = C a + D b_in`` on the m
     mode amplitudes.  Active: the same shape on the doubled-up vector
     (a_1..a_m, a_1^..a_m^), with A, B, C, D of sizes 2m and 2n.
-    ``Phi_minus/Phi_plus`` and ``Omega_minus/Omega_plus`` are the raw
-    coupling and Hamiltonian coefficient blocks.
     """
 
     form: str  # "passive" | "active"
@@ -49,10 +47,6 @@ class LinearModel:
     D: np.ndarray
     mode_labels: tuple[str, ...]
     n_ports: int
-    Phi_minus: np.ndarray
-    Phi_plus: np.ndarray
-    Omega_minus: np.ndarray
-    Omega_plus: np.ndarray
 
     @property
     def n_modes(self) -> int:
@@ -259,17 +253,14 @@ def extract_linear(g: SLHTriple, tol: float = TOL_LIN) -> LinearModel:
         A = -0.5 * Phi_minus.conj().T @ Phi_minus - 1j * Omega_minus
         B = -Phi_minus.conj().T @ D
         C = Phi_minus
-        return LinearModel("passive", A, B, C, D, labels, n,
-                           Phi_minus, np.zeros((n, m), dtype=complex),
-                           Omega_minus, np.zeros((m, m), dtype=complex))
+        return LinearModel("passive", A, B, C, D, labels, n)
 
     Phi_t = np.block([[Phi_minus, Phi_plus], [Phi_plus.conj(), Phi_minus.conj()]])
     Omega_t = np.block([[Omega_minus, Omega_plus], [-Omega_plus.conj(), -Omega_minus.conj()]])
     D_t = _blockdiag(D, D.conj())
     A_t = -0.5 * _flat(Phi_t, m, n) @ Phi_t - 1j * Omega_t
     B_t = -_flat(Phi_t, m, n) @ D_t
-    return LinearModel("active", A_t, B_t, Phi_t, D_t, labels, n,
-                       Phi_minus, Phi_plus, Omega_minus, Omega_plus)
+    return LinearModel("active", A_t, B_t, Phi_t, D_t, labels, n)
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ direct coupling, feedback reduction, port permutation) are everything
 needed to assemble an arbitrary network:
 
 * ``series(g2, g1)``        -- all outputs of g1 feed the inputs of g2
+                               (``concat`` plus ``feedback_multi``)
 * ``concat(g1, g2)``        -- independent parallel composition
 * ``direct_couple(g1, g2)`` -- concatenation plus an interaction Hamiltonian
 * ``feedback(g, x, y)``     -- close the internal link: output x -> input y
@@ -232,14 +233,7 @@ def _symmetrized(H: Operator, tol: float) -> Operator:
 
 def identity_triple(n: int, space: LabeledSpace | None = None) -> SLHTriple:
     """The padding element: n channels scattered straight through."""
-    space = space or LabeledSpace()
-    eye = identity(space)
-    zero_op = zero(space)
-    S = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            S[i, j] = eye if i == j else zero_op
-    return SLHTriple(S, [zero_op] * n, zero_op, check=False)
+    return permutation_triple(range(1, n + 1), space)
 
 
 def permutation_matrix(sigma: Sequence[int]) -> np.ndarray:
@@ -281,34 +275,17 @@ def series(g2: SLHTriple, g1: SLHTriple, check: bool = True) -> SLHTriple:
     """Cascade g1 into g2 (read right to left, like operator products):
 
         (S2 S1,  L2 + S2 L1,  H1 + H2 + (L2^ S2 L1 - L1^ S2^ L2) / 2i)
+
+    This is the feedback reduction of ``concat(g1, g2)`` with output k of
+    g1 wired into input k of g2, so it is computed as exactly that.
     """
     if g1.n_ports != g2.n_ports:
         raise CompositionError(
             f"series needs equal port counts, got {g1.n_ports} and {g2.n_ports}"
         )
     n = g1.n_ports
-    space = g1.space.union(g2.space)
-    S1 = _embed_grid(g1.S, space)
-    S2 = _embed_grid(g2.S, space)
-    L1 = [x.embed(space) for x in g1.L]
-    L2 = [x.embed(space) for x in g2.L]
-
-    S = _matmul_grid(S2, S1)
-    L = [L2[i] + _row_dot(S2, i, L1) for i in range(n)]
-    cross = zero(space)
-    for i in range(n):
-        s2l1_i = _row_dot(S2, i, L1)
-        cross = cross + L2[i].dag() * s2l1_i
-    H = g1.H.embed(space) + g2.H.embed(space) + (cross - cross.dag()) * (1.0 / 2.0j)
-    return SLHTriple(
-        S,
-        L,
-        H,
-        input_names=g1.input_names,
-        output_names=g2.output_names,
-        check=check,
-        tol=_inherit_tol(g1, g2),
-    )
+    wiring = [(k, n + k) for k in range(1, n + 1)]
+    return feedback_multi(concat(g1, g2, check=False), wiring, check=check).triple
 
 
 def concat(g1: SLHTriple, g2: SLHTriple, check: bool = True) -> SLHTriple:
@@ -403,34 +380,6 @@ def permute_ports(g: SLHTriple, sigma: Sequence[int], which: str = "outputs", ch
 # feedback reduction
 
 
-def _embed_grid(S: np.ndarray, space: LabeledSpace) -> np.ndarray:
-    n = S.shape[0]
-    out = np.empty_like(S)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = S[i, j].embed(space)
-    return out
-
-
-def _matmul_grid(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    out = np.empty_like(A)
-    for i in range(n):
-        for j in range(n):
-            acc = A[i, 0] * B[0, j]
-            for k in range(1, n):
-                acc = acc + A[i, k] * B[k, j]
-            out[i, j] = acc
-    return out
-
-
-def _row_dot(S: np.ndarray, i: int, L: Sequence[Operator]) -> Operator:
-    acc = S[i, 0] * L[0]
-    for k in range(1, len(L)):
-        acc = acc + S[i, k] * L[k]
-    return acc
-
-
 def _solve_loop(loop: sp.spmatrix, rhs: sp.spmatrix) -> sp.csr_matrix:
     """X = loop^-1 rhs with loop = I - S_xy, from one sparse LU of the loop.
 
@@ -466,10 +415,14 @@ def feedback_multi(g: SLHTriple, wiring, check: bool = True) -> FeedbackResult:
     independent of the order in which the links would be closed one by
     one.
 
-    ``I - S_xy`` is factored once by sparse LU, which solves both ``L_x``
-    and ``S_x,ybar``; it is singular when its smallest singular value,
-    estimated by inverse iteration through the factors, is below
-    ``LOOP_SINGULARITY_TOL``.
+    The reduction is linear in L and S is static, so one right-hand side
+    ``[L_x | envelope terms of L_x | S_x,ybar]`` (one d-column block each)
+    is solved from one sparse LU of ``I - S_xy``; time-dependent couplings
+    upstream of a wire thus pass through.  The loop is singular when its
+    smallest singular value, estimated by inverse iteration through the
+    factors, is below ``LOOP_SINGULARITY_TOL``.  A wiring with ``S_xy = 0``
+    (every cascade) needs no factorization: the solution is the
+    right-hand side itself.
     """
     pairs = wiring.pairs if isinstance(wiring, PortMap) else PortMap.of(wiring).pairs
     PortMap(pairs).validate(g.n_ports)
@@ -489,50 +442,58 @@ def feedback_multi(g: SLHTriple, wiring, check: bool = True) -> FeedbackResult:
     m = len(xbar)
     space = g.space
 
-    if not all(g.L[i].is_static for i in xs):
-        raise CompositionError("feedback through time-dependent couplings is not supported")
+    # (row c, coefficient, matrix) of every envelope term of L_x
+    terms = [(c, coeff, mat) for c, i in enumerate(xs) for coeff, mat in g.L[i].terms]
+    rhs = sp.bmat(
+        [
+            [g.L[i].static]
+            + [mat if r == c else None for r, _, mat in terms]
+            + [g.S[i, j].constant() for j in ybar]
+            for c, i in enumerate(xs)
+        ],
+        format="csr",
+    )
     S_xy = sp.bmat([[g.S[i, j].constant() for j in ys] for i in xs])
-    loop = sp.identity(k * d, dtype=np.complex128) - S_xy
-    # both right-hand sides [L_x | S_x,ybar] share the one factorization
-    rhs = sp.bmat([[g.L[i].constant()] + [g.S[i, j].constant() for j in ybar] for i in xs])
-    inv = _solve_loop(loop, rhs)
-    inv_L = inv[:, :d]  # (I - S_xy)^-1 L_x, stacked k blocks
-    inv_S = inv[:, d:]  # (I - S_xy)^-1 S_x,ybar
+    if S_xy.count_nonzero():
+        sol = _solve_loop(sp.identity(k * d, dtype=np.complex128) - S_xy, rhs)
+    else:
+        sol = rhs
 
-    def block(mat, i):
-        return mat[i * d : (i + 1) * d, :]
+    def subblock(c, col):
+        return sol[c * d : (c + 1) * d, col * d : (col + 1) * d]
 
-    def subblock(mat, i, j):
-        return mat[i * d : (i + 1) * d, j * d : (j + 1) * d]
+    # X_c = block c of (I - S_xy)^-1 L_x, Y_c,b = block (c, b) of (I - S_xy)^-1 S_x,ybar
+    X = [
+        Operator(space, subblock(c, 0), [(coeff, subblock(c, 1 + t)) for t, (_, coeff, _) in enumerate(terms)])
+        .simplify()
+        for c in range(k)
+    ]
+    Y =[[Operator(space, subblock(c, 1 + len(terms) + b)) for b in range(m)] for c in range(k)]
 
     zero_op = zero(space)
+
+    def through(i, blocks):
+        """sum_c S_i,y_c blocks[c] over the nonzero S_i,y_c."""
+        acc = zero_op
+        for c, yc in enumerate(ys):
+            if g.S[i, yc].static.nnz:
+                acc = acc + g.S[i, yc] * blocks[c]
+        return acc
 
     # S_red = S_xbar,ybar + S_xbar,y (I - S_xy)^-1 S_x,ybar
     S_red = np.empty((m, m), dtype=object)
     for a, i in enumerate(xbar):
         for b, j in enumerate(ybar):
-            acc = g.S[i, j]
-            for c, yc in enumerate(ys):
-                term = g.S[i, yc].constant() @ subblock(inv_S, c, b)
-                acc = acc + Operator(space, term)
-            S_red[a, b] = acc
+            S_red[a, b] = g.S[i, j] + through(i, [row[b] for row in Y])
 
+    # SX_i = S_i,y (I - S_xy)^-1 L_x, formed once per row for L_red and M
+    SX = [through(i, X) for i in range(n)]
     # L_red = L_xbar + S_xbar,y (I - S_xy)^-1 L_x
-    L_red = []
-    for a, i in enumerate(xbar):
-        acc = g.L[i]
-        for c, yc in enumerate(ys):
-            acc = acc + Operator(space, g.S[i, yc].constant() @ block(inv_L, c))
-        L_red.append(acc)
-
+    L_red = [g.L[i] + SX[i] for i in xbar]
     # H_red = H + (M - M^dag) / 2i with M = L^dag S_:,y (I - S_xy)^-1 L_x
     M = zero_op
     for i in range(n):
-        acc = None
-        for c, yc in enumerate(ys):
-            term = g.S[i, yc].constant() @ block(inv_L, c)
-            acc = term if acc is None else acc + term
-        M = M + g.L[i].dag() * Operator(space, acc)
+        M = M + g.L[i].dag() * SX[i]
     H_red = g.H + (M - M.dag()) * (1.0 / 2.0j)
 
     out_map = {i + 1: a + 1 for a, i in enumerate(xbar)}

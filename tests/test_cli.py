@@ -56,20 +56,26 @@ class TestCompose:
         assert code == 3
         assert "algebraic loop" in err
 
-    def test_composition_error_while_wiring_exit_3(self, tmp_path, capsys):
-        # a pulsed source cannot be closed through a wire yet; the refusal
-        # is an elaboration error naming the wires, not an internal one
+    def test_pulsed_wire_simulates_but_does_not_serialize(self, tmp_path, capsys):
+        # a pulsed source closes through a wire; only its JSON form is refused,
+        # since products of envelopes have no serialized form
         f = tmp_path / "pulsed.qnet"
         f.write_text(
             "component src = coherent_source(alpha=0.3, envelope=gaussian(t0=2, sigma=0.5));\n"
-            "component cav = one_sided_cavity(gamma=1.0, truncation=4);\n"
+            "component cav = one_sided_cavity(gamma=1.0, truncation=6);\n"
             "wire src.out[1] -> cav.in[1];\n"
             "expose cav.out[1] as output;"
         )
-        code, _, err = run_cli(["compose", f], capsys)
-        assert code == 3
-        assert "[src.out[1]->cav.in[1]]" in err
-        assert "time-dependent couplings" in err
+        out_file = tmp_path / "traj.csv"
+        code, _, _ = run_cli(["simulate", f, "--t1", "8", "--samples", "9", "-o", out_file], capsys)
+        assert code == 0
+        rows = out_file.read_text().strip().split("\n")
+        assert rows[0] == "t,cav.n"
+        assert max(float(r.split(",")[1]) for r in rows[1:]) > 0.05
+        code, out, err = run_cli(["compose", f], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("state, message", [
         ("fock(9)", "fock(9) does not fit in a dim-5 factor"),

@@ -15,6 +15,7 @@ from slhnet.errors import NotLinearError, UnrealizableError, ValidationError
 from slhnet.hilbert import destroy
 from slhnet.linear import (
     LinearModel,
+    _flat,
     abcd_to_slh,
     extract_linear,
     initial_condition_response,
@@ -78,8 +79,10 @@ class TestExtraction:
         mod = extract_linear(two_mode_squeezer(1.0, 1.5, 0.4, truncation=5, label="s"))
         assert mod.form == "active"
         assert mod.n_modes == 2
-        # Omega_plus holds the pair-creation coefficient (i/2) eps, symmetrized
-        assert abs(mod.Omega_plus[0, 1] - 0.25j * 0.4) < 1e-12
+        # the upper-right block of i(A + C-flat C / 2) holds the pair-creation
+        # coefficient (i/2) eps, symmetrized
+        omega = 1j * (mod.A + 0.5 * _flat(mod.C, 2, 2) @ mod.C)
+        assert abs(omega[:2, 2:][0, 1] - 0.25j * 0.4) < 1e-12
 
 
 class TestTransferFunction:
@@ -96,10 +99,6 @@ class TestTransferFunction:
             D=np.diag([1.0, -1.0]).astype(complex),
             mode_labels=("m",),
             n_ports=2,
-            Phi_minus=np.zeros((2, 1)),
-            Phi_plus=np.zeros((2, 1)),
-            Omega_minus=np.zeros((1, 1)),
-            Omega_plus=np.zeros((1, 1)),
         )
         for s in (0.0, 1j, 2.0 - 0.3j):
             assert np.abs(transfer_function(mod, s) - mod.D).max() < 1e-14
@@ -220,10 +219,6 @@ class TestRealizability:
             D=np.array([[1.0 + 0j]]),
             mode_labels=("m",),
             n_ports=1,
-            Phi_minus=np.array([[1.0 + 0j]]),
-            Phi_plus=np.zeros((1, 1)),
-            Omega_minus=np.zeros((1, 1)),
-            Omega_plus=np.zeros((1, 1)),
         )
         assert realizability_check(mod).passed(1e-12)
 

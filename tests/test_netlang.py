@@ -133,6 +133,38 @@ class TestElaboration:
         )
         assert triples_close(res.triple, want, 1e-10)
 
+    @pytest.mark.parametrize("source", [
+        "coherent_source(alpha=0.3, envelope=gaussian(t0=2, sigma=0.5))",
+        "fock_source(n=1, envelope=gaussian(t0=2, sigma=0.5))",
+    ], ids=["coherent_source", "fock_source"])
+    def test_pulsed_wire_matches_series(self, source):
+        from slhnet.components import coherent_source, fock_source, one_sided_cavity
+        from slhnet.dynamics import evolve_density, liouvillian
+        from slhnet.envelopes import GaussianPulse
+        from slhnet.slh import series
+
+        res = elaborate(parse(
+            f"component src = {source};\n"
+            "component cav = one_sided_cavity(gamma=1.0, truncation=6);\n"
+            "wire src.out[1] -> cav.in[1];"
+        ))
+        env = GaussianPulse(t0=2.0, sigma=0.5)
+        src = (coherent_source(0.3, env) if source.startswith("coherent")
+               else fock_source(1, env, label="src"))
+        want = series(one_sided_cavity(1.0, truncation=6, label="cav"), src)
+        times = (0.5, 1.7, 2.0, 2.9, 4.0)
+        assert not res.triple.is_static()
+        assert triples_close(res.triple, want, 1e-12, times=times)
+
+        n_cav = number("cav", 6)
+        got, ref = (
+            evolve_density(liouvillian(g), res.initial_state, (0.0, 6.0), np.linspace(0.0, 6.0, 13),
+                           observables={"n": n_cav}, method="fixed", dt=0.01).expectations["n"]
+            for g in (res.triple, want)
+        )
+        assert np.abs(got - ref).max() < 1e-12
+        assert got.real.max() > 0.05
+
     def test_loop_network_matches_reduction_formula(self):
         res = elaborate(parse((NETWORKS / "vec_elim_loop.qnet").read_text()))
         g = res.triple

@@ -3,6 +3,8 @@ import pytest
 
 from conftest import random_triple
 
+from slhnet.components import beamsplitter, coherent_source, one_sided_cavity
+from slhnet.envelopes import GaussianPulse
 from slhnet.errors import AlgebraicLoopError, CompositionError
 from slhnet.hilbert import (
     LabeledSpace,
@@ -240,6 +242,29 @@ class TestFeedbackMulti:
         res = feedback_multi(g, [(2, 1)])
         assert res.out_map == {1: 1, 3: 2}
         assert res.in_map == {2: 1, 3: 2}
+
+    def test_pulsed_loop_matches_frozen_time_reduction(self):
+        # a pulsed source feeds beamsplitter input 1; beamsplitter output 1
+        # drives a cavity whose output returns to beamsplitter input 2, so
+        # S_xy != 0.  At each t the reduction must equal the static reduction
+        # of the same network driven by the constant amplitude alpha xi(t).
+        env = GaussianPulse(t0=2.0, sigma=0.7)
+        alpha = 0.4 - 0.2j
+        bs = beamsplitter(eta=0.6)
+        cav = one_sided_cavity(1.5, 0.3, truncation=5, label="c")
+        wiring = [(1, 2), (2, 4), (4, 3)]  # src -> bs.in1, bs.out1 -> cav, cav -> bs.in2
+
+        def reduce(src):
+            return feedback_multi(concat(concat(src, bs), cav), wiring).triple
+
+        pulsed = reduce(coherent_source(alpha, env))
+        assert not pulsed.is_static()
+        for t in (0.5, 1.7, 2.0, 2.9, 4.0):
+            frozen = reduce(coherent_source(alpha * env(t)))
+            assert frozen.is_static()
+            assert op_close(pulsed.L[0], frozen.L[0], 1e-12, times=(t,))
+            assert op_close(pulsed.H, frozen.H, 1e-12, times=(t,))
+            assert op_close(pulsed.S[0, 0], frozen.S[0, 0], 1e-12)
 
 
 class TestPermutePad:

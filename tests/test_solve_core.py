@@ -22,16 +22,20 @@ from slhnet.dynamics import (
     liouvillian_gaussian,
     steady_state,
 )
+from slhnet.envelopes import GaussianPulse
 from slhnet.errors import AlgebraicLoopError, SteadyStateError
 from slhnet.hilbert import LabeledSpace, Operator, _factor, destroy, number
-from slhnet.slh import LOOP_SINGULARITY_TOL, SLHTriple, feedback_multi, series
+from slhnet.slh import LOOP_SINGULARITY_TOL, SLHTriple, concat, feedback_multi, series
+
+PULSE = GaussianPulse(t0=2.0, sigma=0.7)
+PULSE_TIMES = (0.5, 1.7, 2.0, 2.9, 4.0)
 
 
-def _dense_feedback(g: SLHTriple, xs, ys):
-    """(S, L, H) of feedback_multi from the Gough-James formulas, densely."""
+def _dense_feedback(g: SLHTriple, xs, ys, t=None):
+    """(S, L, H) of feedback_multi at time t from the Gough-James formulas, densely."""
     n, d = g.n_ports, g.space.total_dim
     big = np.block([[g.S[i, j].constant().toarray() for j in range(n)] for i in range(n)])
-    Ls = [x.constant().toarray() for x in g.L]
+    Ls = [x.toarray(t) for x in g.L]
 
     def rows(idx):
         return np.concatenate([np.arange(i * d, (i + 1) * d) for i in idx])
@@ -43,15 +47,27 @@ def _dense_feedback(g: SLHTriple, xs, ys):
     S_red = big[np.ix_(rows(xbar), rows(ybar))] + big[np.ix_(rows(xbar), rows(ys))] @ inv @ big[np.ix_(rows(xs), rows(ybar))]
     L_red = np.vstack([Ls[i] for i in xbar]) + big[np.ix_(rows(xbar), rows(ys))] @ inv @ L_x
     M = np.hstack([L.conj().T for L in Ls]) @ big[:, rows(ys)] @ inv @ L_x
-    H_red = g.H.constant().toarray() + (M - M.conj().T) / 2j
+    H_red = g.H.toarray(t) + (M - M.conj().T) / 2j
     return S_red, L_red, H_red
 
 
-def _reduced_blocks(red: SLHTriple):
+def _reduced_blocks(red: SLHTriple, t=None):
     m = red.n_ports
     S = np.block([[red.S[i, j].constant().toarray() for j in range(m)] for i in range(m)])
-    L = np.vstack([x.constant().toarray() for x in red.L])
-    return S, L, red.H.constant().toarray()
+    L = np.vstack([x.toarray(t) for x in red.L])
+    return S, L, red.H.toarray(t)
+
+
+def _check_against_dense(g: SLHTriple, wiring, tol=1e-10):
+    """feedback_multi of g, and of g with pulsed couplings, against the dense formulas."""
+    xs = [a - 1 for a, _ in wiring]
+    ys = [b - 1 for _, b in wiring]
+    pulsed = SLHTriple(g.S, [x + (0.5 * x).scaled_by(PULSE) for x in g.L], g.H)
+    for net, times in ((g, (None,)), (pulsed, PULSE_TIMES)):
+        red = feedback_multi(net, wiring).triple
+        for t in times:
+            for got, want in zip(_reduced_blocks(red, t), _dense_feedback(net, xs, ys, t)):
+                assert np.abs(got - want).max() < tol
 
 
 def _near_singular_loop(c: float, signal: float) -> SLHTriple:
@@ -102,9 +118,7 @@ class TestLoopSolve:
         g = SLHTriple(S, L, random_hermitian(rng, a.space))
         assert not np.allclose(g.S[0, 0].constant().toarray(), U[0, 0] * np.eye(dim))
 
-        red = feedback_multi(g, [(1, 1), (2, 2)]).triple
-        for got, want in zip(_reduced_blocks(red), _dense_feedback(g, [0, 1], [0, 1])):
-            assert np.abs(got - want).max() < 1e-10
+        _check_against_dense(g, [(1, 1), (2, 2)])
 
     def test_crossed_operator_loop(self, rng):
         dim = 4
@@ -114,9 +128,20 @@ class TestLoopSolve:
         S = [[Operator(a.space, U[i, j] * (P if j == 2 else np.eye(dim))) for j in range(3)] for i in range(3)]
         L = [0.4 * a, (0.3 - 0.2j) * a, 0.1 * a.dag()]
         g = SLHTriple(S, L, 0.3 * a.dag() * a)
-        red = feedback_multi(g, [(2, 3), (3, 2)]).triple
-        for got, want in zip(_reduced_blocks(red), _dense_feedback(g, [1, 2], [2, 1])):
-            assert np.abs(got - want).max() < 1e-10
+        _check_against_dense(g, [(2, 3), (3, 2)])
+
+    def test_operator_valued_cascade(self, rng):
+        # S_xy = 0: the loop is not factored, so the dense formula checks that branch
+        dim = 4
+        a = destroy("m", dim)
+        P = sla.expm(0.9j * number("m", dim).constant().toarray())
+        U = random_unitary(rng, 2)
+        S = [[Operator(a.space, U[i, j] * (P if i == 0 else np.eye(dim))) for j in range(2)] for i in range(2)]
+        b = destroy("n", 3)
+        g = concat(SLHTriple(S, [0.7 * a, 0.2 * a.dag()], random_hermitian(rng, a.space)),
+                   SLHTriple(1, [1.1 * b], 0.4 * b.dag() * b))
+        assert not g.S[0, 2].constant().nnz
+        _check_against_dense(g, [(1, 3)])
 
     def test_near_singular_loop_with_signal_raises(self):
         g = _near_singular_loop(1.0 - 0.5 * LOOP_SINGULARITY_TOL, signal=0.5)
