@@ -309,12 +309,12 @@ def cmd_simulate(args) -> int:
     res = _compose(args.file)
     drives, observables = _drives_and_observables(args, res.triple.space)
 
-    def emit(times, columns, out_path):
+    def emit(triple, times, columns, out_path):
         if args.format == "csv":
             _write(trajectory_csv(times, columns), out_path)
             return
         meta = {
-            "triple_sha256": triple_hash(res.triple),
+            "triple_sha256": triple_hash(triple),
             "tolerances": {"atol": args.atol, "rtol": args.rtol},
             "determinism": "fixed-step, byte-reproducible" if args.method == "fixed" else "adaptive",
             "schema_version": SCHEMA_VERSION,
@@ -343,7 +343,7 @@ def cmd_simulate(args) -> int:
             base = args.output or "sweep.csv"
             root, dot, ext = base.rpartition(".")
             out = (root + suffix + dot + ext) if dot else base + suffix
-            emit(times, columns, out)
+            emit(res_k.triple, times, columns, out)
             return out
 
         with ThreadPoolExecutor(max_workers=min(len(values), os.cpu_count() or 1)) as pool:
@@ -352,7 +352,7 @@ def cmd_simulate(args) -> int:
         return 0
 
     times, columns = _run_simulation(res, args, drives, observables)
-    emit(times, columns, args.output)
+    emit(res.triple, times, columns, args.output)
     return 0
 
 

@@ -20,8 +20,8 @@ rho -> A rho B comes from ``_sandwich``, and the Fock hierarchy is a
 Also here: Heisenberg-picture coefficient extraction, input-output
 structure, an adaptive/fixed-step integrator whose guards stop on trace
 drift, negative eigenvalues and top-Fock-level population (read off the
-diagonal of rho, per hierarchy block), and a sparse-LU steady-state
-solver."""
+diagonal of rho, per hierarchy block), and an ILU-preconditioned GMRES
+steady-state solver."""
 
 from __future__ import annotations
 
@@ -51,7 +51,6 @@ from .hilbert import (
     Operator,
     _compose_coeffs,
     _conj_coeff,
-    _factor,
     _top_populations,
     commutator,
     identity,
@@ -64,11 +63,22 @@ TOL_TRACE = 1e-8
 #: tolerance on the most negative eigenvalue of rho
 TOL_POSITIVITY = 1e-8
 
-#: relative bound on the smallest singular value of the trace-constrained Liouvillian
-STEADY_SINGULARITY_TOL = 1e-12
+#: relative bound on max|x1 - x2| between the steady-state solves from two
+#: starts; a degenerate null space keeps a start-dependent component
+STEADY_START_AGREEMENT_TOL = 1e-8
 
 #: relative bound on the steady-state residual |L rho|
 STEADY_RESIDUAL_TOL = 1e-10
+
+#: incomplete-LU preconditioner of the trace-constrained Liouvillian
+STEADY_ILU_DROP_TOL = 1e-4
+STEADY_ILU_FILL_FACTOR = 10
+
+#: GMRES on the preconditioned system: relative residual, Krylov basis
+#: size between restarts, and restart cycles before giving up
+STEADY_GMRES_RTOL = 1e-12
+STEADY_GMRES_RESTART = 200
+STEADY_GMRES_MAXITER = 5
 
 #: default integrator tolerances (embedded Runge-Kutta 4(5))
 DEFAULT_ATOL = 1e-10
@@ -834,29 +844,59 @@ def steady_state(generator: Superoperator) -> DensityState:
     """Unit-trace null vector of a time-independent Liouvillian.
 
     The Liouvillian's first row (redundant by trace preservation) becomes
-    the trace functional, and ``A rho = e_0`` is solved from one sparse LU
-    of ``A``, as in QuTiP's "direct" ``steadystate``.  A singular factor,
-    or an estimated smallest singular value of ``A`` below
-    ``STEADY_SINGULARITY_TOL * ||A||_1``, means the null space is not
-    one-dimensional; a residual ``||L rho||`` above
-    ``STEADY_RESIDUAL_TOL * ||A||_1`` means it is trivial.  Both raise
-    :class:`SteadyStateError`.
+    the trace functional, and ``A rho = e_0`` is solved by GMRES
+    preconditioned with one incomplete LU of ``A``, as in QuTiP's
+    "iterative-gmres" ``steadystate``; the same path runs at every size.
+    Every failure raises :class:`SteadyStateError`, never a retry by
+    another method:
+
+    * an exactly singular ``A`` (the incomplete LU fails), a GMRES run
+      that does not converge, or solves from a zero and a fixed-seed
+      random start that differ by more than ``STEADY_START_AGREEMENT_TOL``
+      (a singular but consistent ``A`` keeps the start's null component)
+      mean the null space is not one-dimensional;
+    * a residual ``||L rho||`` above ``STEADY_RESIDUAL_TOL * ||A||_1``
+      means it is trivial.
     """
     _require_density_generator(generator, "steady_state")
     if not generator.is_static:
         raise UnsupportedConfigurationError("steady state needs a time-independent generator")
     M = generator.static
     d = generator.dim
-    trace_row = sp.csr_matrix((np.ones(d), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))), shape=(1, d * d))
+    n = d * d
+    trace_row = sp.csr_matrix((np.ones(d), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))), shape=(1, n))
     A = sp.vstack([trace_row, M[1:]], format="csc")
     scale = max(1.0, spla.norm(A, 1))
-    lu, smallest = _factor(A)
-    if smallest < STEADY_SINGULARITY_TOL * scale:
+    try:
+        ilu = spla.spilu(A, drop_tol=STEADY_ILU_DROP_TOL, fill_factor=STEADY_ILU_FILL_FACTOR)
+    except RuntimeError:  # "Factor is exactly singular"
         raise SteadyStateError(
             "non-unique steady state: null space dimension is not 1 "
-            f"(trace-constrained Liouvillian is singular, estimated smallest singular value {smallest:.3e})"
+            "(trace-constrained Liouvillian is exactly singular)"
+        ) from None
+    precond = spla.LinearOperator(A.shape, ilu.solve, dtype=np.complex128)
+    b = np.eye(1, n, dtype=np.complex128)[0]
+    rng = np.random.default_rng(0)
+    starts = (np.zeros(n, dtype=np.complex128), rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    solves = []
+    for x0 in starts:
+        x, info = spla.gmres(
+            A, b, x0=x0, M=precond, rtol=STEADY_GMRES_RTOL, atol=0.0,
+            restart=STEADY_GMRES_RESTART, maxiter=STEADY_GMRES_MAXITER,
         )
-    vec = lu.solve(np.eye(1, d * d, dtype=np.complex128)[0])
+        if info != 0 or not np.all(np.isfinite(x)):
+            raise SteadyStateError(
+                f"steady-state GMRES did not converge (residual |A rho - e_0| = {np.linalg.norm(A @ x - b):.3e}); "
+                "the null space dimension may not be 1"
+            )
+        solves.append(x)
+    vec, other = solves
+    spread = np.abs(vec - other).max()
+    if spread > STEADY_START_AGREEMENT_TOL * max(1.0, np.abs(vec).max()):
+        raise SteadyStateError(
+            "non-unique steady state: null space dimension is not 1 "
+            f"(solves from two starts differ by {spread:.3e})"
+        )
     resid = np.linalg.norm(M @ vec)
     if resid > STEADY_RESIDUAL_TOL * scale:
         raise SteadyStateError(

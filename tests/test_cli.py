@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from slhnet.cli import main
+from slhnet.netlang import elaborate, parse
+from slhnet.slh import triple_hash
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
@@ -180,6 +182,26 @@ class TestSimulate:
         assert len(files) == 3
         for f in files:
             assert f.read_text().startswith("t,cav.n")
+
+    def test_sweep_json_hashes_each_swept_network(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            [
+                "simulate", NETWORKS / "driven_cavity.qnet",
+                "--t1", "1", "--samples", "3", "--format", "json",
+                "--sweep", "cav.gamma=1:3:2",
+                "-o", tmp_path / "sweep.json",
+            ],
+            capsys,
+        )
+        assert code == 0
+        files = sorted(tmp_path.glob("sweep_*.json"))
+        assert len(files) == 2
+        hashes = [json.loads(f.read_text())["metadata"]["triple_sha256"] for f in files]
+        assert hashes[0] != hashes[1]
+        nd = parse((NETWORKS / "driven_cavity.qnet").read_text())
+        for gamma, got in zip((1.0, 3.0), hashes):
+            nd.instance("cav").params["gamma"] = gamma
+            assert got == triple_hash(elaborate(nd).triple)
 
     def test_json_format_has_metadata(self, capsys):
         code, out, _ = run_cli(

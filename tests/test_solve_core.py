@@ -1,14 +1,15 @@
 """The sparse solve core behind feedback reduction and steady states.
 
 Every reference here is computed with dense numpy inside the test, so
-the sparse-LU paths are checked against an independent oracle rather
-than against themselves.
+the sparse-LU loop solve and the GMRES steady state are checked against
+an independent oracle rather than against themselves.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import random_hermitian, random_unitary
 
@@ -160,6 +161,32 @@ class TestLoopSolve:
             assert np.abs(got - want).max() < 1e-6 * max(1.0, np.abs(want).max())
 
 
+def _dark_state_generator(rng) -> Superoperator:
+    """Two dark levels of a three-level system, mixed by a generic H: each
+    eigenvector of H on them is steady, so the null space is two-dimensional."""
+    space = LabeledSpace([("q", 3)])
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    h = np.zeros((3, 3), dtype=complex)
+    h[:2, :2] = m + m.conj().T
+    jumps = [Operator(space, sp.coo_matrix(([w], ([k], [2])), shape=(3, 3))) for k, w in ((0, 1.0), (1, 0.7))]
+    return liouvillian(SLHTriple([[1, 0], [0, 1]], jumps, Operator(space, h)))
+
+
+def _random_generator(seed: int) -> Superoperator:
+    """Liouvillian of one or two factors (d <= 6), a random Hermitian H and
+    one or two random jump operators: its null space is generically
+    one-dimensional."""
+    rng = np.random.default_rng(seed)
+    dims = [(2,), (3,), (4,), (5,), (6,), (2, 2), (2, 3), (3, 2)][rng.integers(8)]
+    space = LabeledSpace([(f"f{k}", dk) for k, dk in enumerate(dims)])
+    d = space.total_dim
+    jumps = [
+        Operator(space, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        for _ in range(rng.integers(1, 3))
+    ]
+    return liouvillian(SLHTriple(np.eye(len(jumps)).tolist(), jumps, random_hermitian(rng, space)))
+
+
 def _dense_null_state(gen: Superoperator) -> np.ndarray:
     """Unit-trace null vector of the Liouvillian from a dense SVD."""
     _, s, vh = np.linalg.svd(gen.static.toarray())
@@ -187,6 +214,10 @@ class TestSteadyStateOracle:
         cav = one_sided_cavity(1.0, 0.2, truncation=20, label="c")
         self._check(liouvillian_gaussian(cav, GaussianEnv(N=0.1, M=0.05)))
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_liouvillian(self, seed):
+        self._check(_random_generator(seed))
+
 
 class TestSteadyStateContract:
     def test_zero_generator_reports_dimension(self):
@@ -201,15 +232,19 @@ class TestSteadyStateContract:
             steady_state(gen)
 
     def test_degenerate_null_space_without_exact_zero_pivot(self, rng):
-        # two dark levels of a three-level system, mixed by a generic H:
-        # SuperLU finds no exactly zero pivot, the singular-value estimate does
-        space = LabeledSpace([("q", 3)])
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        h = np.zeros((3, 3), dtype=complex)
-        h[:2, :2] = m + m.conj().T
-        jumps = [Operator(space, sp.coo_matrix(([w], ([k], [2])), shape=(3, 3))) for k, w in ((0, 1.0), (1, 0.7))]
-        gen = liouvillian(SLHTriple([[1, 0], [0, 1]], jumps, Operator(space, h)))
+        # the incomplete LU finds no exactly zero pivot; the two starts disagree
         with pytest.raises(SteadyStateError, match="dimension"):
+            steady_state(_dark_state_generator(rng))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_dark_states_report_dimension(self, seed):
+        with pytest.raises(SteadyStateError, match="dimension"):
+            steady_state(_dark_state_generator(np.random.default_rng(seed)))
+
+    def test_gmres_failure_raises_without_fallback(self, monkeypatch):
+        monkeypatch.setattr(spla, "gmres", lambda A, b, x0, **kw: (x0, 1))
+        gen = liouvillian_coherent(one_sided_cavity(1.0, 0.0, truncation=4, label="c"), 0.3)
+        with pytest.raises(SteadyStateError, match="did not converge.*dimension"):
             steady_state(gen)
 
 
@@ -220,6 +255,17 @@ class TestSizeIndependence:
         gen = liouvillian_coherent(one_sided_cavity(gamma, delta, truncation=truncation, label="c"), alpha)
         want = -np.sqrt(gamma) * alpha / (gamma / 2 + 1j * delta)
         assert abs(steady_state(gen).expect(destroy("c", truncation)) - want) < 1e-8
+
+    def test_two_cavity_cascade_amplitudes(self):
+        # d^2 = 4096, large enough that the incomplete LU drops entries
+        (g1, d1), (g2, d2), alpha, truncation = (2.0, 0.5), (3.0, -0.7), 0.2 - 0.1j, 8
+        c1 = one_sided_cavity(g1, d1, truncation=truncation, label="c1")
+        c2 = one_sided_cavity(g2, d2, truncation=truncation, label="c2")
+        ss = steady_state(liouvillian_coherent(series(c2, c1), alpha))
+        a1 = -np.sqrt(g1) * alpha / (g1 / 2 + 1j * d1)
+        a2 = -np.sqrt(g2) * (alpha + np.sqrt(g1) * a1) / (g2 / 2 + 1j * d2)
+        assert abs(ss.expect(destroy("c1", truncation)) - a1) < 1e-8
+        assert abs(ss.expect(destroy("c2", truncation)) - a2) < 1e-8
 
     def test_ill_posed_wire_exits_3(self, tmp_path, capsys):
         # the ill-posed wire of test_cli, at a larger truncation
