@@ -20,8 +20,8 @@ rho -> A rho B comes from ``_sandwich``, and the Fock hierarchy is a
 Also here: Heisenberg-picture coefficient extraction, input-output
 structure, an adaptive/fixed-step integrator whose guards stop on trace
 drift, negative eigenvalues and top-Fock-level population (read off the
-diagonal of rho, per hierarchy block), and an ILU-preconditioned GMRES
-steady-state solver."""
+diagonal of rho, per hierarchy block), and a GMRES steady-state solver
+preconditioned by the exact inverse of the generator's no-jump part."""
 
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -70,9 +71,9 @@ STEADY_START_AGREEMENT_TOL = 1e-8
 #: relative bound on the steady-state residual |L rho|
 STEADY_RESIDUAL_TOL = 1e-10
 
-#: incomplete-LU preconditioner of the trace-constrained Liouvillian
-STEADY_ILU_DROP_TOL = 1e-4
-STEADY_ILU_FILL_FACTOR = 10
+#: shift of the steady-state preconditioner's diagonal, relative to
+#: ||A||_1: the no-jump part is exactly singular for a vacuum steady state
+STEADY_SHIFT = 1e-8
 
 #: GMRES on the preconditioned system: relative residual, Krylov basis
 #: size between restarts, and restart cycles before giving up
@@ -840,21 +841,58 @@ def evolve_hierarchy(
 # steady state
 
 
+def _sylvester_part(M: sp.spmatrix, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(Pa, Pb)`` of the Frobenius-nearest map ``rho -> Pa rho + rho Pb``
+    to a d^2 x d^2 superoperator ``M``, that is ``kron(Pa, I) +
+    kron(I, Pb^T)``, read off in one pass over its entries.  For a
+    Lindblad generator with traceless jumps it is the no-jump part
+    ``-i(H_eff rho - rho H_eff^)``, ``H_eff = H - (i/2) sum L^L``."""
+    C = M.tocoo()
+    i, j = np.divmod(C.row, d)
+    k, l = np.divmod(C.col, d)
+    left, right = j == l, i == k
+    Pa = sp.coo_matrix((C.data[left], (i[left], k[left])), shape=(d, d)).toarray() / d
+    PbT = sp.coo_matrix((C.data[right], (j[right], l[right])), shape=(d, d)).toarray() / d
+    Pa[np.diag_indices(d)] -= M.diagonal().sum() / d**2  # the identity part, counted on both sides
+    return Pa, PbT.T
+
+
+def _sylvester_inverse(Pa: np.ndarray, Pb: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``vec(R) -> vec(X)`` with ``Pa X + X Pb = R``, from one complex Schur
+    form of each side (Schur, not eigenvectors: ``H_eff`` may be defective)."""
+    d = Pa.shape[0]
+    Ta, Ua = sla.schur(Pa, output="complex")
+    Tb, Ub = sla.schur(Pb, output="complex")
+    UaH, UbH = Ua.conj().T, Ub.conj().T
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        # info = 1 (close eigenvalues, perturbed) still gives a preconditioner
+        y, scale, _ = sla.lapack.ztrsyl(Ta, Tb, UaH @ r.reshape(d, d) @ Ub)
+        return (Ua @ y @ UbH).reshape(-1) / scale
+
+    return solve
+
+
 def steady_state(generator: Superoperator) -> DensityState:
     """Unit-trace null vector of a time-independent Liouvillian.
 
     The Liouvillian's first row (redundant by trace preservation) becomes
-    the trace functional, and ``A rho = e_0`` is solved by GMRES
-    preconditioned with one incomplete LU of ``A``, as in QuTiP's
-    "iterative-gmres" ``steadystate``; the same path runs at every size.
-    Every failure raises :class:`SteadyStateError`, never a retry by
-    another method:
+    the trace functional, and ``A rho = e_0`` is solved by GMRES as in
+    QuTiP's "iterative-gmres" ``steadystate``; the same path runs at every
+    size.  The preconditioner is the exact inverse of the generator's
+    Sylvester part ``rho -> Pa rho + rho Pb`` (``_sylvester_part``: the
+    no-jump evolution; for vacuum and coherent inputs the jump terms left
+    to GMRES only lower the excitation number), shifted by
+    ``STEADY_SHIFT * ||A||_1`` so that a vacuum steady state does not make
+    it singular.  Every
+    failure raises :class:`SteadyStateError`, never a retry by another
+    method:
 
-    * an exactly singular ``A`` (the incomplete LU fails), a GMRES run
-      that does not converge, or solves from a zero and a fixed-seed
-      random start that differ by more than ``STEADY_START_AGREEMENT_TOL``
-      (a singular but consistent ``A`` keeps the start's null component)
-      mean the null space is not one-dimensional;
+    * a GMRES run that does not converge, or solves from a zero and a
+      fixed-seed random unit-norm start that differ by more than
+      ``STEADY_START_AGREEMENT_TOL`` (a singular but consistent ``A``
+      keeps the start's null component), mean the null space is not
+      one-dimensional;
     * a residual ``||L rho||`` above ``STEADY_RESIDUAL_TOL * ||A||_1``
       means it is trivial.
     """
@@ -865,19 +903,15 @@ def steady_state(generator: Superoperator) -> DensityState:
     d = generator.dim
     n = d * d
     trace_row = sp.csr_matrix((np.ones(d), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))), shape=(1, n))
-    A = sp.vstack([trace_row, M[1:]], format="csc")
+    A = sp.vstack([trace_row, M[1:]], format="csr")
     scale = max(1.0, spla.norm(A, 1))
-    try:
-        ilu = spla.spilu(A, drop_tol=STEADY_ILU_DROP_TOL, fill_factor=STEADY_ILU_FILL_FACTOR)
-    except RuntimeError:  # "Factor is exactly singular"
-        raise SteadyStateError(
-            "non-unique steady state: null space dimension is not 1 "
-            "(trace-constrained Liouvillian is exactly singular)"
-        ) from None
-    precond = spla.LinearOperator(A.shape, ilu.solve, dtype=np.complex128)
+    Pa, Pb = _sylvester_part(M, d)
+    Pa[np.diag_indices(d)] -= STEADY_SHIFT * scale
+    precond = spla.LinearOperator(A.shape, _sylvester_inverse(Pa, Pb), dtype=np.complex128)
     b = np.eye(1, n, dtype=np.complex128)[0]
     rng = np.random.default_rng(0)
-    starts = (np.zeros(n, dtype=np.complex128), rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    starts = (np.zeros(n, dtype=np.complex128), z / np.linalg.norm(z))
     solves = []
     for x0 in starts:
         x, info = spla.gmres(

@@ -18,9 +18,13 @@ from slhnet.components import one_sided_cavity
 from slhnet.dynamics import (
     GaussianEnv,
     Superoperator,
+    _sylvester_inverse,
+    _sylvester_part,
     liouvillian,
     liouvillian_coherent,
     liouvillian_gaussian,
+    spost,
+    spre,
     steady_state,
 )
 from slhnet.envelopes import GaussianPulse
@@ -232,7 +236,7 @@ class TestSteadyStateContract:
             steady_state(gen)
 
     def test_degenerate_null_space_without_exact_zero_pivot(self, rng):
-        # the incomplete LU finds no exactly zero pivot; the two starts disagree
+        # a singular but consistent A: GMRES keeps each start's null component
         with pytest.raises(SteadyStateError, match="dimension"):
             steady_state(_dark_state_generator(rng))
 
@@ -248,6 +252,63 @@ class TestSteadyStateContract:
             steady_state(gen)
 
 
+def _driven_cascade(c1_params, c2_params, truncation, alpha=0.2 - 0.1j):
+    """Coherently driven cascade of two cavities (gamma, delta), with the
+    analytic steady-state amplitudes <a1>, <a2> of the linear model."""
+    (g1, d1), (g2, d2) = c1_params, c2_params
+    c1 = one_sided_cavity(g1, d1, truncation=truncation, label="c1")
+    c2 = one_sided_cavity(g2, d2, truncation=truncation, label="c2")
+    a1 = -np.sqrt(g1) * alpha / (g1 / 2 + 1j * d1)
+    a2 = -np.sqrt(g2) * (alpha + np.sqrt(g1) * a1) / (g2 / 2 + 1j * d2)
+    return liouvillian_coherent(series(c2, c1), alpha), (a1, a2)
+
+
+class TestSylvesterPreconditioner:
+    """The preconditioner inverts the Sylvester part rho -> Pa rho + rho Pb
+    of the generator exactly; the jump terms are what it leaves out."""
+
+    def _space(self):
+        return LabeledSpace([("a", 2), ("b", 3)])
+
+    def _random_matrix(self, rng, d, shift=0.0):
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) + shift * np.eye(d)
+
+    def test_projection_rebuilds_sylvester_generator(self, rng):
+        space = self._space()
+        d = space.total_dim
+        X, Y = self._random_matrix(rng, d), self._random_matrix(rng, d)
+        M = (spre(space, Operator(space, X)) + spost(space, Operator(space, Y))).static
+        Pa, Pb = _sylvester_part(M, d)
+        rebuilt = np.kron(Pa, np.eye(d)) + np.kron(np.eye(d), Pb.T)
+        assert np.abs(rebuilt - M.toarray()).max() < 1e-12
+
+    def test_inverse_of_sylvester_generator(self, rng):
+        space = self._space()
+        d = space.total_dim
+        # spectra in disjoint half-planes: Pa X + X Pb is well conditioned
+        X = self._random_matrix(rng, d, shift=-3 * np.sqrt(2 * d))
+        Y = self._random_matrix(rng, d, shift=-3 * np.sqrt(2 * d))
+        M = (spre(space, Operator(space, X)) + spost(space, Operator(space, Y))).static
+        solve = _sylvester_inverse(*_sylvester_part(M, d))
+        v = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+        assert np.abs(solve(M @ v) - v).max() < 1e-12 * np.abs(v).max()
+
+    def test_remainder_is_the_jump_terms(self, rng):
+        space = self._space()
+        d = space.total_dim
+        jumps = []
+        for _ in range(2):
+            m = self._random_matrix(rng, d)
+            jumps.append(m - np.trace(m) / d * np.eye(d))
+        M = liouvillian(
+            SLHTriple(np.eye(2).tolist(), [Operator(space, m) for m in jumps], random_hermitian(rng, space))
+        ).static
+        Pa, Pb = _sylvester_part(M, d)
+        P = np.kron(Pa, np.eye(d)) + np.kron(np.eye(d), Pb.T)
+        want = sum(np.kron(m, m.conj()) for m in jumps)
+        assert np.abs(M.toarray() - P - want).max() < 1e-12
+
+
 class TestSizeIndependence:
     @pytest.mark.parametrize("truncation", [64, 65])  # d^2 = 4096 and 4225
     def test_driven_cavity_amplitude(self, truncation):
@@ -257,15 +318,41 @@ class TestSizeIndependence:
         assert abs(steady_state(gen).expect(destroy("c", truncation)) - want) < 1e-8
 
     def test_two_cavity_cascade_amplitudes(self):
-        # d^2 = 4096, large enough that the incomplete LU drops entries
-        (g1, d1), (g2, d2), alpha, truncation = (2.0, 0.5), (3.0, -0.7), 0.2 - 0.1j, 8
-        c1 = one_sided_cavity(g1, d1, truncation=truncation, label="c1")
-        c2 = one_sided_cavity(g2, d2, truncation=truncation, label="c2")
-        ss = steady_state(liouvillian_coherent(series(c2, c1), alpha))
-        a1 = -np.sqrt(g1) * alpha / (g1 / 2 + 1j * d1)
-        a2 = -np.sqrt(g2) * (alpha + np.sqrt(g1) * a1) / (g2 / 2 + 1j * d2)
-        assert abs(ss.expect(destroy("c1", truncation)) - a1) < 1e-8
-        assert abs(ss.expect(destroy("c2", truncation)) - a2) < 1e-8
+        # d^2 = 4096
+        gen, (a1, a2) = _driven_cascade((2.0, 0.5), (3.0, -0.7), 8)
+        ss = steady_state(gen)
+        assert abs(ss.expect(destroy("c1", 8)) - a1) < 1e-8
+        assert abs(ss.expect(destroy("c2", 8)) - a2) < 1e-8
+
+    def test_identical_cascade_amplitudes(self):
+        # two identical cavities in cascade: the no-jump part is (nearly) a
+        # Jordan block, which the preconditioner's Schur forms handle and an
+        # eigendecomposition would not
+        gen, (a1, a2) = _driven_cascade((2.0, 0.5), (2.0, 0.5), 8)
+        _, vecs = np.linalg.eig(_sylvester_part(gen.static, gen.dim)[0])
+        assert np.linalg.cond(vecs) > 1e10
+        ss = steady_state(gen)
+        assert abs(ss.expect(destroy("c1", 8)) - a1) < 1e-8
+        assert abs(ss.expect(destroy("c2", 8)) - a2) < 1e-8
+
+    def test_zero_start_preconditioner_work(self, monkeypatch):
+        # a work counter, not a timing: the zero-start solve of the t8
+        # cascade applies the preconditioner 11 times
+        gmres, counts = spla.gmres, []
+
+        def counting_gmres(A, b, x0, M, **kw):
+            counts.append(0)
+
+            def apply(r):
+                counts[-1] += 1
+                return M @ r
+
+            return gmres(A, b, x0=x0, M=spla.LinearOperator(A.shape, apply, dtype=M.dtype), **kw)
+
+        monkeypatch.setattr(spla, "gmres", counting_gmres)
+        steady_state(_driven_cascade((2.0, 0.5), (3.0, -0.7), 8)[0])
+        assert len(counts) == 2
+        assert counts[0] < 2 * 11
 
     def test_ill_posed_wire_exits_3(self, tmp_path, capsys):
         # the ill-posed wire of test_cli, at a larger truncation
