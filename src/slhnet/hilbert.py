@@ -17,7 +17,9 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -114,6 +116,12 @@ def union_space(*spaces: LabeledSpace) -> LabeledSpace:
 
 
 def _as_csr(matrix) -> sp.csr_matrix:
+    """Complex128 CSR without explicit zeros; such a matrix is returned as is.
+
+    Operators share their matrices: nothing may change one in place.
+    """
+    if isinstance(matrix, sp.csr_matrix) and matrix.dtype == np.complex128 and matrix.data.all():
+        return matrix
     m = sp.csr_matrix(matrix, dtype=np.complex128)
     m.eliminate_zeros()
     return m
@@ -228,13 +236,14 @@ class Operator:
                 raise SpaceError(
                     f"embedding failed: factor {lbl!r} has dim {dim}, target has {tdim}"
                 )
-        perm = _embedding_permutation(self.space, target)
-        extra = target.total_dim // max(self.space.total_dim, 1)
-        eye = sp.identity(extra, format="csr", dtype=np.complex128)
+        index = _lift_index(self.space.factors, target.factors)
+        d = target.total_dim
 
         def lift(matrix):
-            big = sp.kron(matrix, eye, format="csr")
-            return big[perm, :][:, perm]
+            # entry (r, c) of kron(matrix, I) block e lands at (index[r, e], index[c, e])
+            coo = matrix.tocoo()
+            rows, cols = index[coo.row].ravel(), index[coo.col].ravel()
+            return sp.csr_matrix((np.repeat(coo.data, index.shape[1]), (rows, cols)), shape=(d, d))
 
         return Operator(
             target,
@@ -325,28 +334,25 @@ def op_close(
     return (x - y).max_abs(times) <= tol
 
 
-def _embedding_permutation(small: LabeledSpace, target: LabeledSpace) -> np.ndarray:
-    """Row/column permutation mapping kron(small, missing) onto target layout.
+@functools.lru_cache
+def _lift_index(small: tuple, target: tuple) -> np.ndarray:
+    """Where each index of ``kron(M, I_missing)`` sits in the target layout.
 
-    ``kron(M, I_extra)`` lays indices out as (small factors..., missing
-    factors...); the permutation reorders that composite index into the
-    lexicographic factor order of ``target``.
+    ``kron`` lays indices out as (small factors..., missing factors...);
+    row ``r`` of the result holds the ``target`` index of composite index
+    ``(r, e)`` for each index ``e`` of the missing factors.  ``target``
+    orders its factors lexicographically.  The array is cached, hence
+    read-only.
     """
-    small_labels = list(small.labels)
-    missing = [(lbl, dim) for lbl, dim in target.factors if lbl not in small_labels]
-    combined = list(small.factors) + missing
-    dims = [dim for _, dim in combined]
-    order = [dict((lbl, i) for i, (lbl, _) in enumerate(combined))[lbl] for lbl in target.labels]
-    idx = np.arange(int(np.prod(dims)) if dims else 1)
-    multi = np.array(np.unravel_index(idx, dims)) if dims else np.zeros((0, 1), dtype=int)
-    target_dims = [dim for _, dim in target.factors]
-    if not target_dims:
-        return np.array([0])
-    reordered = multi[order, :]
-    flat = np.ravel_multi_index(reordered, target_dims)
-    perm = np.empty_like(flat)
-    perm[flat] = idx
-    return perm
+    labels = [lbl for lbl, _ in target]
+    small_labels = [lbl for lbl, _ in small]
+    combined = small_labels + [lbl for lbl in labels if lbl not in small_labels]
+    dims = [dim for _, dim in target]
+    layout = np.arange(math.prod(dims)).reshape(dims)
+    axes = [labels.index(lbl) for lbl in combined]
+    index = layout.transpose(axes).reshape(math.prod(dim for _, dim in small), -1)
+    index.flags.writeable = False
+    return index
 
 
 # --------------------------------------------------------------------------

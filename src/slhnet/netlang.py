@@ -555,9 +555,7 @@ def elaborate(nd: NetworkDescription) -> ElaborationResult:
         total_ports += g.n_ports
         triples.append(g)
 
-    net = triples[0]
-    for g in triples[1:]:
-        net = concat(net, g)
+    net = concat(*triples)
 
     wiring = [
         (offsets[w.src[0]] + w.src[1], offsets[w.dst[0]] + w.dst[1]) for w in nd.wires

@@ -9,7 +9,7 @@ needed to assemble an arbitrary network:
 
 * ``series(g2, g1)``        -- all outputs of g1 feed the inputs of g2
                                (``concat`` plus ``feedback_multi``)
-* ``concat(g1, g2)``        -- independent parallel composition
+* ``concat(g1, g2, ...)``   -- independent parallel composition (n-ary)
 * ``direct_couple(g1, g2)`` -- concatenation plus an interaction Hamiltonian
 * ``feedback(g, x, y)``     -- close the internal link: output x -> input y
 * ``feedback_multi(g, wiring)`` -- close several links at once
@@ -221,10 +221,11 @@ def _symmetrized(H: Operator, tol: float) -> Operator:
     A large residual is a formula bug upstream and is never silently
     repaired.
     """
-    resid = (H - H.dag()).max_abs()
+    H_dag = H.dag()
+    resid = (H - H_dag).max_abs()
     if resid > tol:
         raise CompositionError(f"Hamiltonian has anti-Hermitian residual {resid:.3e} > {tol:.1e}")
-    return ((H + H.dag()) * 0.5).simplify()
+    return ((H + H_dag) * 0.5).simplify()
 
 
 # --------------------------------------------------------------------------
@@ -288,30 +289,36 @@ def series(g2: SLHTriple, g1: SLHTriple, check: bool = True) -> SLHTriple:
     return feedback_multi(concat(g1, g2, check=False), wiring, check=check).triple
 
 
-def concat(g1: SLHTriple, g2: SLHTriple, check: bool = True) -> SLHTriple:
-    """Parallel composition: block-diagonal S, stacked L, summed H."""
-    space = g1.space.union(g2.space)
-    n1, n2 = g1.n_ports, g2.n_ports
-    n = n1 + n2
-    zero_op = zero(space)
+def concat(*triples: SLHTriple, check: bool = True) -> SLHTriple:
+    """Parallel composition of any number of triples: block-diagonal S,
+    stacked L, H summed left to right.
+
+    Each operator is lifted once into the union space, and the result is
+    checked once: a block-diagonal S is unitary exactly when every block
+    is, and a sum of Hermitian H is Hermitian.
+    """
+    if not triples:
+        raise CompositionError("concat needs at least one triple")
+    space = union_space(*(g.space for g in triples))
+    n = sum(g.n_ports for g in triples)
     S = np.empty((n, n), dtype=object)
-    S.fill(zero_op)
-    for i in range(n1):
-        for j in range(n1):
-            S[i, j] = g1.S[i, j].embed(space)
-    for i in range(n2):
-        for j in range(n2):
-            S[n1 + i, n1 + j] = g2.S[i, j].embed(space)
-    L = [x.embed(space) for x in g1.L] + [x.embed(space) for x in g2.L]
-    H = g1.H.embed(space) + g2.H.embed(space)
+    S.fill(zero(space))
+    L, offset = [], 0
+    for g in triples:
+        for i in range(g.n_ports):
+            for j in range(g.n_ports):
+                S[offset + i, offset + j] = g.S[i, j].embed(space)
+        L += [x.embed(space) for x in g.L]
+        offset += g.n_ports
+    H = sum((g.H.embed(space) for g in triples[1:]), triples[0].H.embed(space))
     return SLHTriple(
         S,
         L,
         H,
-        input_names=g1.input_names + g2.input_names,
-        output_names=g1.output_names + g2.output_names,
+        input_names=sum((g.input_names for g in triples), ()),
+        output_names=sum((g.output_names for g in triples), ()),
         check=check,
-        tol=_inherit_tol(g1, g2),
+        tol=_inherit_tol(*triples),
     )
 
 

@@ -21,10 +21,15 @@ def run_cli(args, capsys):
 
 class TestCompose:
     def test_compose_matches_golden_bytes(self, capsys):
-        code, out, _ = run_cli(["compose", NETWORKS / "vec_elim_loop.qnet"], capsys)
-        assert code == 0
-        golden = (NETWORKS / "golden" / "vec_elim_loop.slh.json").read_text()
-        assert out == golden
+        goldens = sorted((NETWORKS / "golden").glob("*.slh.json"))
+        assert [g.name.removesuffix(".slh.json") for g in goldens] == sorted(
+            n.stem for n in NETWORKS.glob("*.qnet")
+        )
+        for golden in goldens:
+            name = golden.name.removesuffix(".slh.json")
+            code, out, _ = run_cli(["compose", NETWORKS / f"{name}.qnet"], capsys)
+            assert code == 0, name
+            assert out == golden.read_text(), f"{name}: compose output differs from the golden bytes"
 
     def test_emit_ast(self, capsys):
         code, out, _ = run_cli(["compose", "--emit", "ast", NETWORKS / "two_cavity_cascade.qnet"], capsys)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from slhnet.errors import ConstructionError, SpaceError
 from slhnet.hilbert import (
     LabeledSpace,
+    _as_csr,
     Operator,
     basis_vector,
     coherent_vector,
@@ -120,6 +122,47 @@ class TestEmbedding:
         target = LabeledSpace([("a", 2), ("b", 3)])
         direct = np.kron(a.constant().toarray(), np.eye(3))
         assert np.abs(a.embed(target).constant().toarray() - direct).max() == 0.0
+
+
+def _stored_zero_coo():
+    """[[0, 1], [2, 0]] with the zero at (0, 0) stored explicitly."""
+    return sp.coo_matrix(([1.0, 0.0, 2.0], ([0, 0, 1], [1, 0, 0])), shape=(2, 2))
+
+
+class TestAsCsr:
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([[0.0, 1.0], [2.0, 0.0]]),
+            _stored_zero_coo(),
+            _stored_zero_coo().tocsr(),
+            sp.csr_matrix(_stored_zero_coo(), dtype=np.complex128),
+        ],
+        ids=["dense", "coo", "csr-float", "csr-complex"],
+    )
+    def test_explicit_zeros_pruned(self, matrix):
+        m = _as_csr(matrix)
+        assert isinstance(m, sp.csr_matrix) and m.dtype == np.complex128
+        assert m.nnz == 2 and m.data.all()
+        assert np.array_equal(m.toarray(), [[0, 1], [2, 0]])
+
+    def test_complex_csr_without_zeros_is_not_copied(self):
+        m = sp.csr_matrix(np.array([[0, 1], [2, 0]], dtype=np.complex128))
+        assert _as_csr(m) is m
+        assert Operator(LabeledSpace([("m", 2)]), m).static is m
+
+    def test_operator_matrices_unchanged_by_arithmetic(self, rng):
+        space = LabeledSpace([("m", 3)])
+        static = _as_csr(rng.normal(size=(3, 3)) * (rng.random((3, 3)) < 0.5))
+        term = _as_csr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        op = Operator(space, static, [(lambda t: t, term)])
+        before = [(m.data.copy(), m.indices.copy(), m.indptr.copy()) for m in (static, term)]
+        target = LabeledSpace([("m", 3), ("q", 2)])
+        (op + op, op - op, op * op, 2.0 * op, op.dag(), op.embed(target),
+         op.scaled_by(lambda t: 2 * t), op.simplify(), op.at(0.5), op * destroy("q", 2))
+        for m, (data, indices, indptr) in zip((op.static, op.terms[0][1]), before):
+            assert np.array_equal(m.data, data)
+            assert np.array_equal(m.indices, indices) and np.array_equal(m.indptr, indptr)
 
 
 class TestArithmetic:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slhnet.errors import ElaborationError, ParseError
-from slhnet.hilbert import destroy, number, op_close
+from slhnet.hilbert import Operator, destroy, number, op_close
 from slhnet.netlang import (
     CallValue,
     ast_to_dict,
@@ -12,7 +12,7 @@ from slhnet.netlang import (
     parse,
     print_network,
 )
-from slhnet.slh import triples_close
+from slhnet.slh import SLHTriple, triples_close
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
@@ -115,6 +115,26 @@ class TestPrinting:
 
 
 class TestElaboration:
+    def test_compose_work_counts(self, monkeypatch):
+        """vec_elim_loop at truncation 5: one n-ary concat lifts each
+        component operator once and checks S once; the other four checks
+        are the components' own, the last one the feedback reduction's."""
+        counts = {"embed": 0, "unitarity": 0}
+        embed, residual = Operator.embed, SLHTriple.unitarity_residual
+
+        def counted_embed(self, target):
+            counts["embed"] += target.factors != self.space.factors
+            return embed(self, target)
+
+        def counted_residual(self):
+            counts["unitarity"] += 1
+            return residual(self)
+
+        monkeypatch.setattr(Operator, "embed", counted_embed)
+        monkeypatch.setattr(SLHTriple, "unitarity_residual", counted_residual)
+        elaborate(parse((NETWORKS / "vec_elim_loop.qnet").read_text()))
+        assert counts == {"embed": 28, "unitarity": 6}
+
     def test_single_component_unchanged(self):
         nd = parse("component c = one_sided_cavity(gamma=2.0, delta=0.5, truncation=6);")
         res = elaborate(nd)
