@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .envelopes import Envelope
+from .envelopes import Envelope, ScaledEnvelope
 from .errors import ElaborationError, ParseError, SLHNetError
 from .hilbert import TRUNC_GUARD, Operator, destroy, identity, sigma_minus
 from .dynamics import (
@@ -37,7 +37,7 @@ from .dynamics import (
     trajectory_json,
 )
 from .linear import extract_linear, transfer_function
-from .netlang import ast_to_dict, build_value, elaborate, parse, CallValue, _Parser, tokenize
+from .netlang import ast_to_dict, build_value, elaborate, parse, CallValue, _Parser, _format_value, tokenize
 from .reduction import eliminate_triple, projector_from_states
 from .slh import SCHEMA_VERSION, triple_hash, triple_to_json
 
@@ -110,7 +110,7 @@ def resolve_observable(expr: str, space, known_labels) -> Operator:
                     tok.line, tok.column,
                 )
             return table[attr]
-        raise ParseError(f"unexpected token {tok.value!r} in observable", tok.line, tok.column)
+        p.error("an operator, a number or '(' in the observable")
 
     def parse_term():
         out = parse_factor()
@@ -149,34 +149,49 @@ def default_observables(space) -> dict[str, str]:
 # drive specification
 
 
+def _envelope(value) -> Envelope:
+    if not isinstance(value, Envelope):
+        raise TypeError("needs an envelope such as gaussian(t0=5.0, sigma=1.0)")
+    return value
+
+
+# Each drive kind's parameters, with the conversion a given value goes through.
+_DRIVE_PARAMS = {
+    "coherent": {"alpha": complex, "envelope": _envelope},
+    "fock": {"n": float, "envelope": _envelope},
+    "gaussian": {"N": float, "M": complex, "alpha": complex},
+}
+
+
 def parse_drive_spec(text: str):
     """'vacuum' | 'coherent(alpha=..., envelope=...)' | 'fock(n=..., envelope=...)'
-    | 'gaussian(N=..., M=..., alpha=...)' -> ("kind", kwargs)."""
+    | 'gaussian(N=..., M=..., alpha=...)' -> ("kind", kwargs).
+
+    A parameter name the kind does not take is a ParseError; a value that
+    does not convert is an SLHNetError naming the parameter."""
     p = _Parser(tokenize(text))
     tok = p.peek()
-    if tok.kind == "IDENT" and tok.value == "vacuum":
-        p.next()
-        return ("vacuum", {})
     val = p.parse_value()
+    p.expect("EOF")
+    if val == "vacuum":
+        return ("vacuum", {})
     if not isinstance(val, CallValue):
         raise ParseError(f"bad drive spec {text!r}", tok.line, tok.column)
     kind = val.name
-    kwargs = {k: build_value(v) for k, v in val.params.items()}
-    if kind not in ("coherent", "fock", "gaussian"):
+    if kind not in _DRIVE_PARAMS:
         raise ParseError(f"unknown drive kind {kind!r}", tok.line, tok.column)
+    convert = _DRIVE_PARAMS[kind]
+    unknown = [k for k in val.params if k not in convert]
+    if unknown:
+        raise ParseError(f"{kind} drives take {', '.join(convert)}, not {', '.join(unknown)}",
+                         tok.line, tok.column)
+    kwargs = {}
+    for key, value in val.params.items():
+        try:
+            kwargs[key] = convert[key](build_value(value))
+        except (TypeError, ValueError) as exc:
+            raise SLHNetError(f"{kind} drive: bad {key}={_format_value(value)}: {exc}") from None
     return (kind, kwargs)
-
-
-def _coherent_amplitude(kwargs) -> object:
-    alpha = kwargs.get("alpha", 1.0)
-    env = kwargs.get("envelope")
-    if env is None:
-        return alpha
-    if not isinstance(env, Envelope):
-        raise ParseError("envelope must be an envelope constructor", 1, 1)
-    from .envelopes import ScaledEnvelope
-
-    return ScaledEnvelope(complex(alpha), env)
 
 
 # --------------------------------------------------------------------------
@@ -260,20 +275,17 @@ def _build_generator(res, drives):
         raise SLHNetError(f"drive port {label!r} is not an exposed input ({res.input_labels})")
     port = res.input_labels.index(label) + 1
     if kind == "coherent":
-        return "density", liouvillian_coherent(g, _coherent_amplitude(kwargs), port=port)
+        alpha = kwargs.get("alpha", 1.0)
+        if "envelope" in kwargs:
+            alpha = ScaledEnvelope(alpha, kwargs["envelope"])
+        return "density", liouvillian_coherent(g, alpha, port=port)
     if kind == "gaussian":
-        env = GaussianEnv(
-            N=float(kwargs.get("N", 0.0)),
-            M=complex(kwargs.get("M", 0.0)),
-            alpha=kwargs.get("alpha"),
-        )
+        env = GaussianEnv(N=kwargs.get("N", 0.0), M=kwargs.get("M", 0.0), alpha=kwargs.get("alpha"))
         return "density", liouvillian_gaussian(g, env)
     if kind == "fock":
-        n = int(kwargs.get("n", 1))
-        env = kwargs.get("envelope")
-        if env is None:
+        if "envelope" not in kwargs:
             raise SLHNetError("fock drives need an envelope(...)")
-        return "fock", fock_hierarchy(g, env, n, driven_port=port)
+        return "fock", fock_hierarchy(g, kwargs["envelope"], kwargs.get("n", 1), driven_port=port)
     raise SLHNetError(f"unknown drive kind {kind!r}")
 
 

@@ -120,7 +120,7 @@ class DensityState:
         if m.shape != (d, d):
             raise ValidationError("rho must be square on its space")
         tr = complex(m.diagonal().sum())
-        if abs(tr - 1.0) > TOL_TRACE:
+        if not abs(tr - 1.0) <= TOL_TRACE:  # NaN fails too
             raise ValidationError(f"trace(rho) = {tr:.10g}, expected 1 within {TOL_TRACE}")
         herm = (self.rho - self.rho.dag()).max_abs()
         if herm > TOL_OP:
@@ -146,10 +146,10 @@ class GaussianEnv:
     def __post_init__(self):
         self.N = float(self.N)
         self.M = complex(self.M)
-        if self.N < 0:
-            raise ValidationError(f"N >= 0 violated: N = {self.N}")
+        if not 0 <= self.N < np.inf:
+            raise ValidationError(f"finite N >= 0 violated: N = {self.N}")
         slack = self.N * (self.N + 1.0) - abs(self.M) ** 2
-        if slack < -TOL_OP:
+        if not slack >= -TOL_OP:
             raise ValidationError(
                 f"N(N+1) >= |M|^2 violated: N(N+1) = {self.N * (self.N + 1):.12g}, |M|^2 = {abs(self.M) ** 2:.12g}"
             )
@@ -335,6 +335,8 @@ def _drive(g: SLHTriple, alpha, port: int) -> Superoperator:
     m_gauge = sp.csr_matrix(gauge - sp.identity(d * d, dtype=np.complex128, format="csr"))
     if isinstance(env, ConstantAmplitude):
         a0 = env.value
+        if not np.isfinite(a0):
+            raise ValidationError(f"drive amplitude must be finite, got {a0}")
         return Superoperator(space, a0 * m_alpha + np.conj(a0) * m_conj + abs(a0) ** 2 * m_gauge)
     terms = (
         (env, m_alpha),
@@ -563,7 +565,9 @@ class FockHierarchy(Superoperator):
             raise UnsupportedConfigurationError("the Fock hierarchy needs a static triple")
         # sqrt(m) xi(t) [S rho, L^], sqrt(n) xi*(t) [L, rho S^], sqrt(mn) |xi(t)|^2 gauge
         drive = _drive(g, envelope, driven_port)
-        if isinstance(field_coeffs, (int, np.integer)):
+        if np.ndim(field_coeffs) == 0:
+            if not (field_coeffs >= 0 and float(field_coeffs).is_integer()):
+                raise ValidationError(f"photon number must be an integer n >= 0, got {field_coeffs!r}")
             n = int(field_coeffs)
             c = np.zeros((n + 1, n + 1), dtype=complex)
             c[n, n] = 1.0
@@ -675,6 +679,8 @@ def integrate(
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValidationError(f"t_span start must precede end, got ({t0}, {t1})")
+    if not (0 <= atol < np.inf and 0 <= rtol < np.inf):
+        raise ValidationError(f"atol and rtol must be finite and >= 0, got atol={atol}, rtol={rtol}")
     t_eval = np.linspace(t0, t1, 101) if t_eval is None else np.asarray(t_eval, dtype=float)
     if t_eval.ndim != 1 or not (np.all(np.diff(t_eval) >= 0) and np.all((t0 <= t_eval) & (t_eval <= t1))):
         raise ValidationError(f"t_eval must be non-decreasing and lie within [{t0}, {t1}]")
@@ -689,6 +695,8 @@ def integrate(
         from scipy.integrate import RK45  # deferred: scipy.integrate is slow to import
 
         solver = RK45(rhs, t0, states[0].copy(), t_eval[-1], rtol=rtol, atol=atol)
+        if not np.isfinite(solver.f).all():  # RK45's first-step search never ends on a NaN slope
+            raise ValidationError(f"the right-hand side is not finite at t = {t0}")
         for k in range(1, t_eval.size):
             solver.t_bound, solver.status = t_eval[k], "running"
             while solver.status == "running":
@@ -699,7 +707,7 @@ def integrate(
             if guard is not None:
                 guard(t_eval[k], states[k])
     elif method == "fixed":
-        if dt is None or dt <= 0:
+        if dt is None or not dt > 0:
             raise ValidationError("fixed-step integration needs dt > 0")
         y = states[0].copy()
         for k in range(1, t_eval.size):
@@ -760,7 +768,7 @@ def _density_guard(space: LabeledSpace, truncation_guard: float | None):
     def guard(t, y):
         rho = y.reshape(d, d)
         tr = np.trace(rho)
-        if abs(tr - 1.0) > TOL_TRACE:
+        if not abs(tr - 1.0) <= TOL_TRACE:  # NaN fails too
             raise TraceDriftError(
                 f"trace drifted to {tr:.12g} at t = {t:.6g} (|tr - 1| > {TOL_TRACE}); "
                 "not renormalizing, check tolerances or the generator"

@@ -21,6 +21,7 @@ wire with one multi-port feedback reduction.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -32,7 +33,7 @@ from .envelopes import (
     GaussianPulse,
     SquarePulse,
 )
-from .errors import AlgebraicLoopError, CompositionError, ElaborationError, ParseError
+from .errors import AlgebraicLoopError, CompositionError, ElaborationError, ParseError, ValidationError
 from .hilbert import LabeledSpace, Operator, coherent_vector, product_density
 from .slh import SLHTriple, concat, feedback_multi
 
@@ -65,80 +66,46 @@ class Token:
     column: int
 
 
+# One alternative per token class, tried in order; ERROR takes any
+# character no other class starts with, so the walk covers every character.
+_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("SKIP", r"[ \t\r]+|#[^\n]*"),
+    ("NEWLINE", r"\n"),
+    ("NUMBER", r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?[ij]?"),
+    ("WORD", r"[^\W\d]\w*"),
+    ("PUNCT", "|".join(re.escape(p) for p in _PUNCT)),
+    ("ERROR", "."),
+)))
+
+
 def tokenize(text: str) -> list[Token]:
+    """Split text into tokens with 1-based line and column.  Numbers are
+    ASCII digits (any other digit is a ParseError); names may use Unicode
+    letters."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT:
-            tokens.append(Token(_PUNCT[c], c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            startcol = col
-            seen_dot = False
-            seen_exp = False
-            while i < n:
-                ch = text[i]
-                if ch.isdigit():
-                    i += 1
-                elif ch == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    i += 1
-                elif ch in "eE" and not seen_exp and i + 1 < n and (
-                    text[i + 1].isdigit() or (text[i + 1] in "+-" and i + 2 < n and text[i + 2].isdigit())
-                ):
-                    seen_exp = True
-                    i += 1
-                    if text[i] in "+-":
-                        i += 1
-                else:
-                    break
-            raw = text[start:i]
-            col += i - start
-            if i < n and text[i] in "ij":
-                i += 1
-                col += 1
-                tokens.append(Token("IMAG", float(raw), line, startcol))
-            elif seen_dot or seen_exp:
-                tokens.append(Token("NUMBER", float(raw), line, startcol))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, raw = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind == "NUMBER":
+            if raw[-1] in "ij":
+                tokens.append(Token("IMAG", float(raw[:-1]), line, col))
+            elif not raw.isdigit():
+                tokens.append(Token("NUMBER", float(raw), line, col))
             else:
-                tokens.append(Token("NUMBER", int(raw), line, startcol))
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            startcol = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            col += i - start
-            kind = word if word in _KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, line, startcol))
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("EOF", None, line, col))
+                try:
+                    tokens.append(Token("NUMBER", int(raw), line, col))
+                except ValueError:  # more digits than sys.get_int_max_str_digits()
+                    raise ParseError("number has too many digits", line, col) from None
+        elif kind == "WORD" and (raw[0].isalpha() or raw[0] == "_"):  # \w also holds '²'
+            tokens.append(Token(raw if raw in _KEYWORDS else "IDENT", raw, line, col))
+        elif kind == "PUNCT":
+            tokens.append(Token(_PUNCT[raw], raw, line, col))
+        elif kind != "SKIP":
+            raise ParseError(f"unexpected character {raw[0]!r}", line, col)
+    tokens.append(Token("EOF", None, line, len(text) - line_start + 1))
     return tokens
 
 
@@ -226,15 +193,15 @@ class _Parser:
         return tok
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            found = "end of input" if tok.kind == "EOF" else repr(tok.value)
-            raise ParseError(f"expected {kind}, found {found}", tok.line, tok.column)
+        if self.peek().kind != kind:
+            self.error(kind)
         return self.next()
 
-    def error(self, message: str):
+    def error(self, expected: str):
+        """Raise 'expected ..., found <next token>' at the next token."""
         tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
+        found = "end of input" if tok.kind == "EOF" else repr(tok.value)
+        raise ParseError(f"expected {expected}, found {found}", tok.line, tok.column)
 
     # ---- values ----
 
@@ -248,7 +215,7 @@ class _Parser:
             self.next()
             return complex(0.0, sign * tok.value)
         if tok.kind != "NUMBER":
-            self.error(f"expected a number, found {tok.value!r}")
+            self.error("a number")
         self.next()
         real = sign * tok.value
         if self.peek().kind in ("PLUS", "MINUS"):
@@ -270,7 +237,7 @@ class _Parser:
                 params = self.parse_param_list()
                 return CallValue(name, params)
             return name
-        self.error(f"expected a value, found {tok.value!r}")
+        self.error("a value")
 
     def parse_param_list(self) -> dict:
         self.expect("LPAREN")
@@ -279,7 +246,7 @@ class _Parser:
             while True:
                 key_tok = self.peek()
                 if key_tok.kind not in ("IDENT", "in", "out", "as"):
-                    self.error(f"expected a parameter name, found {key_tok.value!r}")
+                    self.error("a parameter name")
                 key = self.next().value
                 if key in params:
                     raise ParseError(f"duplicate parameter {key!r}", key_tok.line, key_tok.column)
@@ -299,7 +266,7 @@ class _Parser:
         self.expect("DOT")
         side_tok = self.peek()
         if side_tok.kind not in ("in", "out"):
-            self.error(f"expected 'in' or 'out', found {side_tok.value!r}")
+            self.error("'in' or 'out'")
         side = self.next().value
         if require_side and side != require_side:
             raise ParseError(
@@ -315,7 +282,7 @@ class _Parser:
     def parse_state_atom(self) -> StateAtom:
         tok = self.peek()
         if tok.kind != "IDENT":
-            self.error(f"expected a state constructor, found {tok.value!r}")
+            self.error("a state constructor")
         name = self.next().value
         if name == "vacuum":
             return StateAtom("vacuum")
@@ -372,7 +339,7 @@ class _Parser:
                 self.expect("as")
                 label_tok = self.peek()
                 if label_tok.kind not in ("IDENT", "in", "out"):
-                    self.error(f"expected a label name, found {label_tok.value!r}")
+                    self.error("a label name")
                 self.next()
                 self.expect("SEMI")
                 exposes.append(
@@ -389,7 +356,7 @@ class _Parser:
                 self.expect("SEMI")
                 states.append(StateDecl(name_tok.value, atoms, (name_tok.line, name_tok.column)))
             else:
-                self.error(f"expected a statement, found {tok.value!r}")
+                self.error("a statement")
         return NetworkDescription(instances, wires, exposes, states)
 
 
@@ -502,11 +469,8 @@ def print_network(nd: NetworkDescription) -> str:
 # elaboration
 
 _ENVELOPES = {
-    "gaussian": GaussianPulse,
-    "square": SquarePulse,
-    "exp_decay": ExpDecayPulse,
-    "exp_rising": ExpRisingPulse,
-    "constant": ConstantAmplitude,
+    cls.name: cls
+    for cls in (GaussianPulse, SquarePulse, ExpDecayPulse, ExpRisingPulse, ConstantAmplitude)
 }
 
 
@@ -516,7 +480,11 @@ def build_value(v):
         ctor = _ENVELOPES.get(v.name)
         if ctor is None:
             raise ElaborationError(f"unknown constructor {v.name!r} in parameter value")
-        return ctor(**{k: build_value(x) for k, x in v.params.items()})
+        params = {k: build_value(x) for k, x in v.params.items()}
+        try:
+            return ctor(**params)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad parameters for {v.name}(...): {exc}") from exc
     return v
 
 
@@ -541,9 +509,9 @@ def elaborate(nd: NetworkDescription) -> ElaborationResult:
     instance_factors: dict[str, list[str]] = {}
     total_ports = 0
     for inst in nd.instances:
-        params = {k: build_value(v) for k, v in inst.params.items()}
-        truncation = params.pop("truncation", None)
         try:
+            params = {k: build_value(v) for k, v in inst.params.items()}
+            truncation = params.pop("truncation", None)
             g = catalog.instantiate(inst.kind, label=inst.name, truncation=truncation, **params)
         except Exception as exc:
             raise ElaborationError(

@@ -110,7 +110,7 @@ class SLHTriple:
 
         if check:
             resid = self.unitarity_residual()
-            if resid > tol:
+            if not resid <= tol:  # a NaN residual fails too
                 raise CompositionError(f"scattering matrix is not unitary: residual {resid:.3e}")
             H = _symmetrized(H, tol)
         self.H = H
@@ -223,7 +223,7 @@ def _symmetrized(H: Operator, tol: float) -> Operator:
     """
     H_dag = H.dag()
     resid = (H - H_dag).max_abs()
-    if resid > tol:
+    if not resid <= tol:
         raise CompositionError(f"Hamiltonian has anti-Hermitian residual {resid:.3e} > {tol:.1e}")
     return ((H + H_dag) * 0.5).simplify()
 

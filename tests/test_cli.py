@@ -300,6 +300,39 @@ class TestOtherCommands:
         assert out.stderr.startswith("error: ")
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize(
+        "argv, code, prefix, needle",
+        [
+            (["steady-state", "--drive", "drive=coherent(alpha=x)"], 1, "error: ", "alpha"),
+            (["steady-state", "--drive", "drive=gaussian(N=x)"], 1, "error: ", "N="),
+            (["steady-state", "--drive", "drive=coherent(alpha=1e999)"], 1, "error: ", "finite"),
+            (["steady-state", "--drive", "drive=coherent(beta=1)"], 2, "parse error: ", "beta"),
+            (["steady-state", "--observables", "cav.n*("], 2, "parse error: ", "end of input"),
+            (["simulate", "--t1", "1", "--drive",
+              "drive=fock(n=-1, envelope=gaussian(t0=1, sigma=1))"], 1, "error: ", "n >= 0"),
+            (["simulate", "--t1", "1", "--drive",
+              "drive=fock(n=1.5, envelope=gaussian(t0=1, sigma=1))"], 1, "error: ", "1.5"),
+            (["simulate", "--t1", "1", "--method", "fixed", "--dt", "nan"], 1, "error: ", "dt"),
+            (["simulate", "--t1", "1", "--atol", "-1"], 1, "error: ", "atol=-1"),
+            (["simulate", "--t1", "1", "--rtol", "-1"], 1, "error: ", "rtol=-1"),
+            (["simulate", "--t1", "1", "--drive",
+              "drive=coherent(alpha=1e999, envelope=gaussian(t0=1, sigma=1))"], 1, "error: ",
+             "not finite"),
+            (["simulate", "--t1", "1", "--method", "fixed", "--dt", "0.1", "--drive",
+              "drive=coherent(alpha=1e999, envelope=gaussian(t0=1, sigma=1))"], 1, "error: ",
+             "trace drifted to nan"),
+        ],
+        ids=["alpha-not-a-number", "N-not-a-number", "alpha-infinite", "unknown-drive-parameter",
+             "observable-cut-short", "fock-negative-n", "fock-fractional-n", "dt-nan",
+             "atol-negative", "rtol-negative", "pulse-infinite-adaptive", "pulse-infinite-fixed"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the infinite pulses make NaN
+    def test_malformed_input_is_one_error_line(self, argv, code, prefix, needle, capsys):
+        got, _, err = run_cli([argv[0], NETWORKS / "driven_cavity.qnet", *argv[1:]], capsys)
+        assert got == code
+        assert err.startswith(prefix) and needle in err
+        assert err.count("\n") == 1
+
     def test_version_subprocess(self):
         out = subprocess.run(
             [sys.executable, "-m", "slhnet.cli", "--version"],

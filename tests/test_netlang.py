@@ -11,6 +11,7 @@ from slhnet.netlang import (
     elaborate,
     parse,
     print_network,
+    tokenize,
 )
 from slhnet.slh import SLHTriple, triples_close
 
@@ -21,6 +22,45 @@ component c1 = one_sided_cavity(gamma=2.0, delta=0.5, truncation=6);
 component c2 = one_sided_cavity(gamma=3.0, delta=-0.7, truncation=6);
 wire c1.out[1] -> c2.in[1];
 """
+
+
+# (text, tokens as (kind, value, line, column), EOF included) or the
+# (line, column) of the ParseError.  Non-ASCII digits and integers too long
+# for int() are parse errors, and the EOF after a trailing comment sits at
+# the end of its line.
+LEXER_CASES = {
+    "1e": [("NUMBER", 1, 1, 1), ("IDENT", "e", 1, 2), ("EOF", None, 1, 3)],
+    "1e+": [("NUMBER", 1, 1, 1), ("IDENT", "e", 1, 2), ("PLUS", "+", 1, 3), ("EOF", None, 1, 4)],
+    "1.": [("NUMBER", 1.0, 1, 1), ("EOF", None, 1, 3)],
+    "1.e5": [("NUMBER", 1e5, 1, 1), ("EOF", None, 1, 5)],
+    "2.5e-3j": [("IMAG", 2.5e-3, 1, 1), ("EOF", None, 1, 8)],
+    "3i": [("IMAG", 3.0, 1, 1), ("EOF", None, 1, 3)],
+    ".5": [("DOT", ".", 1, 1), ("NUMBER", 5, 1, 2), ("EOF", None, 1, 3)],
+    "->": [("ARROW", "->", 1, 1), ("EOF", None, 1, 3)],
+    "a.b": [("IDENT", "a", 1, 1), ("DOT", ".", 1, 2), ("IDENT", "b", 1, 3), ("EOF", None, 1, 4)],
+    "x_1": [("IDENT", "x_1", 1, 1), ("EOF", None, 1, 4)],
+    "é": [("IDENT", "é", 1, 1), ("EOF", None, 1, 2)],
+    "²": (1, 1),
+    "٣": (1, 1),
+    "1٣": (1, 2),
+    "x = " + "9" * 5000: (1, 5),
+    "\r\n": [("EOF", None, 2, 1)],
+    "a # c": [("IDENT", "a", 1, 1), ("EOF", None, 1, 6)],
+    "a # c\n": [("IDENT", "a", 1, 1), ("EOF", None, 2, 1)],
+}
+
+
+@pytest.mark.parametrize("text", LEXER_CASES, ids=[repr(t)[:12] for t in LEXER_CASES])
+def test_lexer_edge_cases(text):
+    want = LEXER_CASES[text]
+    if isinstance(want, tuple):
+        with pytest.raises(ParseError) as err:
+            tokenize(text)
+        assert (err.value.line, err.value.column) == want
+        return
+    got = [(t.kind, t.value, t.line, t.column) for t in tokenize(text)]
+    assert got == want
+    assert [type(t[1]) for t in got] == [type(t[1]) for t in want]
 
 
 class TestParsing:

@@ -1,17 +1,21 @@
-"""Randomized properties of the compose layer: embedding and concatenation.
+"""Randomized properties of the compose layer: embedding, concatenation
+and the network language's error contract.
 
 Examples are derandomized and few, so the suite stays fast and every run
 draws the same cases.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slhnet.envelopes import GaussianPulse
-from slhnet.errors import CompositionError
+from slhnet.errors import CompositionError, SLHNetError
 from slhnet.hilbert import LabeledSpace, Operator, destroy
+from slhnet.netlang import _TOKEN, elaborate, parse
 from slhnet.slh import SLHTriple, concat, triple_to_json, triples_close
 
 from conftest import random_hermitian, random_unitary
@@ -126,3 +130,38 @@ def test_nary_concat_checks_unchecked_parts(gs, bad, part):
         match = "anti-Hermitian"
     with pytest.raises(CompositionError, match=match):
         concat(*(broken if k == bad else x for k, x in enumerate(gs)))
+
+
+NETWORKS = Path(__file__).resolve().parent.parent / "networks"
+NETWORK_TEXTS = [p.read_text() for p in sorted(NETWORKS.glob("*.qnet"))]
+# A non-ASCII digit, an overflowing number, a negative number, an unknown
+# name, an out-of-range port index, and (the empty text) a dropped ';'.
+MUTATIONS = ("²", "٣", "1e999", "-1", "no_such_name", "9", "")
+
+
+@st.composite
+def mutated_networks(draw):
+    """A shipped network with one token replaced by a drawn one; '9'
+    replaces an integer and the empty text a ';'."""
+    text = draw(st.sampled_from(NETWORK_TEXTS))
+    new = draw(st.sampled_from(MUTATIONS))
+    spans = [m.span() for m in _TOKEN.finditer(text) if m.lastgroup not in ("SKIP", "NEWLINE")]
+    if new == "9":
+        spans = [(a, b) for a, b in spans if text[a:b].isdigit()]
+    elif new == "":
+        spans = [(a, b) for a, b in spans if text[a:b] == ";"]
+    start, end = draw(st.sampled_from(spans))
+    return text[:start] + new + text[end:]
+
+
+# 1e999 makes inf * 0 products on the way to a refusal.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(mutated_networks())
+# e^{i inf} is NaN: the unitarity check must refuse it before the loop solve sees it
+@example((NETWORKS / "vec_elim_loop.qnet").read_text().replace("phi=0.6", "phi=1e999", 1))
+def test_mutated_network_elaborates_or_raises_slhnet_error(text):
+    try:
+        elaborate(parse(text))
+    except SLHNetError:
+        pass
