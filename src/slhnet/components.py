@@ -63,7 +63,7 @@ def _require(cond: bool, message: str) -> None:
 
 def _nonneg(value, name: str) -> float:
     value = float(value)
-    _require(value >= 0.0, f"{name} must be >= 0, violated: {name} = {value}")
+    _require(0.0 <= value < math.inf, f"{name} must be finite and >= 0, violated: {name} = {value}")
     return value
 
 
@@ -419,7 +419,7 @@ def coherent_source(alpha, envelope: Envelope | None = None) -> SLHTriple:
     else:
         env = as_envelope(alpha)
     L = identity(LabeledSpace()).scaled_by(env)
-    return SLHTriple(1, [L], 0.0, metadata={"drive_envelope": env})
+    return SLHTriple(1, [L], 0.0, metadata={"drive_envelope": env}, check=False)  # valid by construction
 
 
 def coherent_source_cavity(alpha: complex, envelope: Envelope, truncation: int = DEFAULT_TRUNC, label: str = "src") -> SLHTriple:

@@ -9,13 +9,14 @@ Master equations act on the vectorized density matrix (row-major
 * ``fock_hierarchy``         -- coupled generalized-state equations for
                                 Fock-state wavepacket inputs
 
-A drive amplitude alpha(t) on port j always enters through the series
-product of the displacement source with the network,
-``(S, L + S_:j alpha, H + Im(L^ S_:j alpha))``: the coherent drive, the
-Gaussian mean field and the hierarchy's wavepacket coupling all take
-their drive matrices from one builder, ``_drive``.  Every sandwich
-rho -> A rho B comes from ``_sandwich``, and the Fock hierarchy is a
-``Superoperator`` over its stacked blocks.
+A drive amplitude alpha(t) on port j is a wire: the displacement source
+``(1, alpha, 0)`` fed into port j by the composition algebra gives
+``(S, L + S_:j alpha, H + Im(L^ S_:j alpha))``, and the generator is that
+triple's vacuum Liouvillian.  The coherent drive, the Gaussian mean field
+and the hierarchy's wavepacket coupling all read it off there; its
+time-dependent terms are one per merged coefficient (alpha, alpha* and
+|alpha|^2).  Every sandwich rho -> A rho B comes from ``_sandwich``, and
+the Fock hierarchy is a ``Superoperator`` over its stacked blocks.
 
 Also here: Heisenberg-picture coefficient extraction, input-output
 structure, an adaptive/fixed-step integrator whose guards stop on trace
@@ -36,6 +37,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .components import coherent_source
 from .envelopes import ConstantAmplitude, Envelope, as_envelope
 from .errors import (
     ConstructionError,
@@ -48,15 +50,16 @@ from .errors import (
 from .hilbert import (
     TOL_OP,
     TRUNC_GUARD,
+    Coefficient,
     LabeledSpace,
     Operator,
-    _compose_coeffs,
-    _conj_coeff,
+    _canonical_terms,
     _top_populations,
     commutator,
     identity,
+    zero,
 )
-from .slh import SLHTriple
+from .slh import SLHTriple, concat, feedback_multi
 
 #: tolerance on |tr(rho) - 1| along a trajectory
 TOL_TRACE = 1e-8
@@ -188,7 +191,8 @@ class GaussianEnv:
 
 
 class Superoperator:
-    """Matrix acting on vec(rho) or on stacked blocks of it, possibly with scalar-envelope terms."""
+    """Matrix acting on vec(rho) or on stacked blocks of it, possibly with
+    time-dependent terms, one per :class:`Coefficient`."""
 
     __slots__ = ("space", "static", "terms")
 
@@ -200,8 +204,7 @@ class Superoperator:
         if static.shape[0] != static.shape[1] or static.shape[0] % d2:
             raise ConstructionError(f"superoperator shape {static.shape} is not square with side a multiple of {d2}")
         self.space = space
-        self.static = static
-        self.terms = tuple(terms)
+        self.static, self.terms = _canonical_terms(static, terms) if terms else (static, ())
 
     @property
     def is_static(self) -> bool:
@@ -259,21 +262,11 @@ def _sandwich(space: LabeledSpace, A: Operator, B: Operator) -> Superoperator:
     """Superoperator of rho -> A rho B, distributing over envelope terms."""
     A = A.embed(space)
     B = B.embed(space)
-    a_parts = [(None, A.static)] + list(A.terms)
-    b_parts = [(None, B.static)] + list(B.terms)
-    static = None
-    terms = []
-    for ca, ma in a_parts:
-        for cb, mb in b_parts:
-            mat = sp.kron(ma, mb.T, format="csr")
-            if not mat.nnz:
-                continue
-            coeff = _compose_coeffs(ca, cb)
-            if coeff is None:
-                static = mat if static is None else static + mat
-            else:
-                terms.append((coeff, mat))
-    return Superoperator(space, static, tuple(terms))
+    return Superoperator(space, None, [
+        (ca * cb, sp.kron(ma, mb.T, format="csr"))
+        for ca, ma in [(Coefficient(), A.static), *A.terms]
+        for cb, mb in [(Coefficient(), B.static), *B.terms]
+    ])
 
 
 def spre(space: LabeledSpace, A: Operator) -> Superoperator:
@@ -291,69 +284,35 @@ def lindblad_dissipator(space: LabeledSpace, L: Operator) -> Superoperator:
 
 
 def liouvillian(g: SLHTriple) -> Superoperator:
-    """Vacuum-input master equation generator; S never enters."""
+    """Vacuum-input generator -i(H_eff rho - rho H_eff^) + sum_i L_i rho L_i^,
+    H_eff = H - (i/2) sum_i L_i^ L_i; S never enters.  A wired drive's
+    Im(L^ S_:j alpha) in H and L^ S_:j alpha in sum L^L are summed in the
+    same order, so H_eff's alpha* term cancels exactly."""
     space = g.space
-    out = (-1j) * (spre(space, g.H) + (-1.0) * spost(space, g.H))
-    for L in g.L:
-        out = out + lindblad_dissipator(space, L)
-    return out
+    H_eff = g.H + (-0.5j) * sum((L.dag() * L for L in g.L), zero(space))
+    out = (-1j) * (spre(space, H_eff) + (-1.0) * spost(space, H_eff.dag()))
+    return sum((_sandwich(space, L, L.dag()) for L in g.L), out)
 
 
-def _static_or_raise(op: Operator, what: str) -> Operator:
-    if not op.is_static:
-        raise UnsupportedConfigurationError(f"{what} must be time independent here")
-    return op
-
-
-def _drive(g: SLHTriple, alpha, port: int) -> Superoperator:
-    """The drive part of the generator for amplitude alpha(t) on ``port``.
-
-    Cascading the displacement source (1, alpha, 0) into the port gives
-    (S, L + S_:j alpha, H + Im(L^ S_:j alpha)), whose generator is the
-    vacuum one plus alpha m_alpha + alpha* m_conj + |alpha|^2 m_gauge with
-    m_alpha = [S_:j rho, L^], m_conj = [L, rho S_:j^] and
-    m_gauge = S_:j rho S_:j^ - rho (zero for a scalar-phase S).  A
-    time-dependent alpha gives the terms (alpha, m_alpha),
-    (alpha*, m_conj) and (|alpha|^2, m_gauge), in that order.
-    """
+def _driven(g: SLHTriple, alpha, port: int) -> SLHTriple:
+    """``g`` with the displacement source (1, alpha(t), 0) wired into input ``port``."""
     if not 1 <= port <= g.n_ports:
         raise ValidationError(f"port {port} out of range 1..{g.n_ports}")
-    env = alpha if isinstance(alpha, Envelope) else as_envelope(alpha)
-    space = g.space
-    d = space.total_dim
-    eye = sp.identity(d, dtype=np.complex128, format="csr")
-    m_alpha = m_conj = gauge = None
-    for i in range(g.n_ports):
-        Sij = _static_or_raise(g.S[i, port - 1], "scattering entry").embed(space).constant()
-        Li = _static_or_raise(g.L[i], "coupling fed by a coherent drive").embed(space).constant()
-        t1 = sp.kron(Sij, Li.conj(), format="csr") - sp.kron(Li.conj().T @ Sij, eye, format="csr")
-        t2 = sp.kron(Li, Sij.conj(), format="csr") - sp.kron(eye, (Sij.conj().T @ Li).T, format="csr")
-        t3 = sp.kron(Sij, Sij.conj(), format="csr")
-        m_alpha = t1 if m_alpha is None else m_alpha + t1
-        m_conj = t2 if m_conj is None else m_conj + t2
-        gauge = t3 if gauge is None else gauge + t3
-    m_gauge = sp.csr_matrix(gauge - sp.identity(d * d, dtype=np.complex128, format="csr"))
-    if isinstance(env, ConstantAmplitude):
-        a0 = env.value
-        if not np.isfinite(a0):
-            raise ValidationError(f"drive amplitude must be finite, got {a0}")
-        return Superoperator(space, a0 * m_alpha + np.conj(a0) * m_conj + abs(a0) ** 2 * m_gauge)
-    terms = (
-        (env, m_alpha),
-        (_conj_coeff(env), m_conj),
-        (lambda t: abs(env(t)) ** 2, m_gauge),
-    )
-    return Superoperator(space, None, terms)
+    env = as_envelope(alpha)
+    if isinstance(env, ConstantAmplitude) and not np.isfinite(env.value):
+        raise ValidationError(f"drive amplitude must be finite, got {env.value}")
+    return feedback_multi(concat(coherent_source(env), g, check=False), [(1, port + 1)], check=False).triple
 
 
 def liouvillian_coherent(g: SLHTriple, alpha, port: int = 1) -> Superoperator:
-    """Master equation with a coherent drive alpha(t) on one input port.
+    """Master equation with a coherent drive alpha(t) on one input port:
+    the vacuum generator of the displacement source wired into that port.
 
-    Adds alpha [S_:j rho, L^] + alpha* [L, rho S_:j^] + |alpha|^2
-    (S_:j rho S_:j^ - rho) to the vacuum generator; identical to
-    cascading the displacement source into the designated port.
+    It adds alpha [S_:j rho, L^] + alpha* [L, rho S_:j^] + |alpha|^2
+    (S_:j rho S_:j^ - rho) to the vacuum generator of ``g``; a
+    time-dependent alpha gives one term for each of the three products.
     """
-    return liouvillian(g) + _drive(g, alpha, port)
+    return liouvillian(_driven(g, alpha, port))
 
 
 def _require_scalar_phase(g: SLHTriple) -> complex:
@@ -376,23 +335,23 @@ def liouvillian_gaussian(g: SLHTriple, env: GaussianEnv) -> Superoperator:
     """Master equation for a stationary Gaussian input (mean alpha(t),
     thermal occupation N, squeezing correlation M).
 
-    The squeezing terms are (M/2)[L^,[L^,rho]] + (M*/2)[L,[L,rho]] with M
-    rotated by the scattering phase s to s^2 M, since (s, L, H) is the
-    input passing s before it meets (1, L, H); the mean field alpha enters
-    through S exactly as a coherent drive does.
+    It is the vacuum generator of ``g`` (of ``g`` with the mean field
+    alpha wired in, as a coherent drive, when alpha is given), plus
+    N (D[L] + D[L^]), plus the squeezing terms (M/2)[L^,[L^,rho]] +
+    (M*/2)[L,[L,rho]] with M rotated by the scattering phase s to s^2 M,
+    since (s, L, H) is the input passing s before it meets (1, L, H).
     """
     M = _require_scalar_phase(g) ** 2 * env.M
     space = g.space
-    L = _static_or_raise(g.L[0], "coupling driven by a Gaussian field")
-    out = (-1j) * (spre(space, g.H) + (-1.0) * spost(space, g.H))
-    out = out + (env.N + 1.0) * lindblad_dissipator(space, L)
+    L = g.L[0]
+    if not L.is_static:
+        raise UnsupportedConfigurationError("coupling driven by a Gaussian field must be time independent here")
+    out = liouvillian(g if env.alpha is None else _driven(g, env.alpha, 1))
     if env.N:
-        out = out + env.N * lindblad_dissipator(space, L.dag())
+        out = out + env.N * (lindblad_dissipator(space, L) + lindblad_dissipator(space, L.dag()))
     if M:
         for z, X in ((0.5 * M, L.dag()), (0.5 * np.conj(M), L)):
             out = out + z * (spre(space, X * X) + (-2.0) * _sandwich(space, X, X) + spost(space, X * X))
-    if env.alpha is not None:
-        out = out + _drive(g, env.alpha, 1)
     return out
 
 
@@ -427,8 +386,8 @@ def heisenberg_coefficients(g: SLHTriple, X: Operator) -> HeisenbergCoefficients
             term_bd = g.S[i, jj].dag() * commutator(X, g.L[i])
             acc_b = term_b if acc_b is None else acc_b + term_b
             acc_bd = term_bd if acc_bd is None else acc_bd + term_bd
-        dB.append(acc_b.simplify())
-        dB_dag.append(acc_bd.simplify())
+        dB.append(acc_b)
+        dB_dag.append(acc_bd)
     dLambda = np.empty((n, n), dtype=object)
     for i in range(n):
         for jj in range(n):
@@ -438,8 +397,8 @@ def heisenberg_coefficients(g: SLHTriple, X: Operator) -> HeisenbergCoefficients
                 acc = term if acc is None else acc + term
             if i == jj:
                 acc = acc - X
-            dLambda[i, jj] = acc.simplify()
-    return HeisenbergCoefficients(drift.simplify(), dB, dB_dag, dLambda)
+            dLambda[i, jj] = acc
+    return HeisenbergCoefficients(drift, dB, dB_dag, dLambda)
 
 
 @dataclass
@@ -563,8 +522,7 @@ class FockHierarchy(Superoperator):
         envelope.check_normalized()
         if not g.is_static():
             raise UnsupportedConfigurationError("the Fock hierarchy needs a static triple")
-        # sqrt(m) xi(t) [S rho, L^], sqrt(n) xi*(t) [L, rho S^], sqrt(mn) |xi(t)|^2 gauge
-        drive = _drive(g, envelope, driven_port)
+        driven = liouvillian_coherent(g, envelope, driven_port)
         if np.ndim(field_coeffs) == 0:
             if not (field_coeffs >= 0 and float(field_coeffs).is_integer()):
                 raise ValidationError(f"photon number must be an integer n >= 0, got {field_coeffs!r}")
@@ -591,11 +549,14 @@ class FockHierarchy(Superoperator):
                 shape=(nb * nb, nb * nb),
             )
 
+        # the driven generator's xi, xi* and |xi|^2 terms lower m, n and both:
+        # sqrt(m) xi [S rho, L^], sqrt(n) xi* [L, rho S^], sqrt(mn) |xi|^2 gauge
+        xi = Coefficient([(envelope, False)])
+        shift = {xi: (1, 0), xi.conj(): (0, 1), xi * xi.conj(): (1, 1)}
         terms = () if nb == 1 else tuple(
-            (coeff, sp.kron(ladder(*shift), m, format="csr"))
-            for shift, (coeff, m) in zip(((1, 0), (0, 1), (1, 1)), drive.terms)
+            (coeff, sp.kron(ladder(*shift[coeff]), m, format="csr")) for coeff, m in driven.terms
         )
-        static = sp.kron(sp.identity(nb * nb, format="csr"), liouvillian(g).static, format="csr")
+        static = sp.kron(sp.identity(nb * nb, format="csr"), driven.static, format="csr")
         super().__init__(g.space, static, terms)
         # flux ingredients: vec of sum_i L_i^ L_i, sum_i S_ij^ L_i, sum_i L_i^ S_ij
         per_port = [(L.dag() * L, S.dag() * L, L.dag() * S) for L, S in zip(g.L, g.S[:, driven_port - 1])]
@@ -762,7 +723,14 @@ def _check_truncation(space: LabeledSpace, diag: np.ndarray, limit: float | None
             )
 
 
+def _require_guard_value(limit: float | None) -> None:
+    """A truncation guard is a number >= 0 or None (off); checked once per run."""
+    if limit is not None and not limit >= 0:  # NaN fails too
+        raise ValidationError(f"truncation guard must be a number >= 0, got {limit}")
+
+
 def _density_guard(space: LabeledSpace, truncation_guard: float | None):
+    _require_guard_value(truncation_guard)
     d = space.total_dim
 
     def guard(t, y):
@@ -829,6 +797,7 @@ def evolve_hierarchy(
 ) -> tuple[np.ndarray, FockHierarchyState]:
     """Integrate the Fock hierarchy from the standard initial condition;
     the states come back stacked, one sample per index."""
+    _require_guard_value(truncation_guard)
     state0 = hier.initial_state(rho_sys)
     d = hier.space.total_dim
     nb = hier.n_max + 1

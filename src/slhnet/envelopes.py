@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConstructionError, ValidationError
 
 #: tail weight below which lambda(t) is clamped to zero
 W_CUTOFF = 1e-12
@@ -71,7 +71,7 @@ class Envelope:
         return self(t) / math.sqrt(w)
 
     def to_dict(self) -> dict:
-        raise NotImplementedError(f"envelope {self.name!r} is not serializable")
+        raise ConstructionError(f"envelope {self.name!r} wraps an opaque callable and has no serialized form")
 
 
 class GaussianPulse(Envelope):

@@ -11,8 +11,10 @@ Conventions:
   which fixes a deterministic matrix layout;
 * qubit factors use basis index 0 for the ground state and 1 for the
   excited state, so ``sigma_minus`` has its single entry at (0, 1);
-* time dependence is restricted to sums of scalar-envelope x constant
-  matrix terms.
+* time dependence is restricted to sums of coefficient x constant
+  matrix terms, each :class:`Coefficient` a product of (possibly
+  conjugated) envelopes; terms with equal coefficients are merged into
+  one, so an operator holds one term per distinct product.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -127,18 +130,88 @@ def _as_csr(matrix) -> sp.csr_matrix:
     return m
 
 
-def _compose_coeffs(f: Callable | None, g: Callable | None) -> Callable | None:
-    if f is None:
-        return g
-    if g is None:
-        return f
-    return lambda t, f=f, g=g: f(t) * g(t)
+class Coefficient:
+    """A time coefficient: the product of envelope factors f(t), each
+    possibly conjugated.
+
+    ``factors`` holds ``(f, conj)`` pairs in first-appearance order.
+    Equality and hash are those of the multiset of pairs (each envelope by
+    identity), so ``xi * conj(xi)`` equals ``conj(xi) * xi`` and terms
+    sharing a coefficient merge.  The empty product is 1.
+    """
+
+    __slots__ = ("factors", "_key")
+
+    def __init__(self, factors: Iterable[tuple[Callable, bool]] = ()):
+        self.factors = tuple(factors)
+        self._key = frozenset(Counter(self.factors).items())
+
+    def __call__(self, t: float):
+        out = 1.0  # the empty product, the coefficient of a static part
+        for f, conj in self.factors:
+            out = out * (np.conj(f(t)) if conj else f(t))
+        return out
+
+    def __mul__(self, other: "Coefficient") -> "Coefficient":
+        return Coefficient(self.factors + other.factors)
+
+    def conj(self) -> "Coefficient":
+        return Coefficient((f, not conj) for f, conj in self.factors)
+
+    def __eq__(self, other):
+        return isinstance(other, Coefficient) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def to_dict(self) -> dict:
+        """A single unconjugated envelope serializes as itself, anything else
+        as ``{"shape": "product", "factors": [{"envelope": ..., "conj": ...}]}``."""
+        if any(getattr(f, "to_dict", None) is None for f, _ in self.factors):
+            raise ConstructionError("cannot serialize a time-dependent operator with an opaque coefficient")
+        if len(self.factors) == 1 and not self.factors[0][1]:
+            return self.factors[0][0].to_dict()
+        return {"shape": "product", "factors": [{"envelope": f.to_dict(), "conj": conj} for f, conj in self.factors]}
+
+    @staticmethod
+    def from_dict(data: dict) -> "Coefficient":
+        from .envelopes import envelope_from_dict
+
+        if data.get("shape") != "product":
+            return Coefficient([(envelope_from_dict(data), False)])
+        return Coefficient((envelope_from_dict(f["envelope"]), bool(f["conj"])) for f in data["factors"])
 
 
-def _conj_coeff(f: Callable | None) -> Callable | None:
-    if f is None:
-        return None
-    return lambda t, f=f: np.conj(f(t))
+def _as_coefficient(coeff) -> Coefficient:
+    """A coefficient as is; an envelope or other callable as its one factor."""
+    if isinstance(coeff, Coefficient):
+        return coeff
+    if not callable(coeff):
+        raise ConstructionError("time coefficient must be callable")
+    return Coefficient([(coeff, False)])
+
+
+def _canonical_terms(static: sp.csr_matrix, terms) -> tuple[sp.csr_matrix, tuple]:
+    """``(static, terms)`` with every coefficient a :class:`Coefficient`,
+    constant factors folded into the matrices, terms with equal
+    coefficients merged (first appearance sets the order) and all-zero
+    matrices dropped.  Operators and superoperators share it."""
+    merged = {}
+    for coeff, m in terms:
+        coeff = _as_coefficient(coeff)
+        m = _as_csr(m)
+        if m.shape != static.shape:
+            raise SpaceError(f"term shape {m.shape} does not match {static.shape}")
+        constant = [p for p in coeff.factors if getattr(p[0], "is_constant", False)]
+        if constant:
+            for f, conj in constant:
+                m = _as_csr(complex(np.conj(f(0.0)) if conj else f(0.0)) * m)
+            coeff = Coefficient(p for p in coeff.factors if p not in constant)
+        if not coeff.factors:
+            static = _as_csr(static + m) if static.nnz else m
+        else:
+            merged[coeff] = merged[coeff] + m if coeff in merged else m
+    return static, tuple((c, m) for c, m in ((c, _as_csr(m)) for c, m in merged.items()) if m.nnz)
 
 
 class Operator:
@@ -148,10 +221,11 @@ class Operator:
 
         static + sum_k coeff_k(t) * term_k
 
-    where the matrices are fixed and each ``coeff_k`` is a scalar
-    function of time.  Operators are immutable; all arithmetic returns
-    new instances and auto-embeds the operands into the union of their
-    spaces.
+    where the matrices are fixed and the ``coeff_k`` are distinct
+    :class:`Coefficient` products (a bare envelope or callable becomes a
+    one-factor product).  Operators are immutable; all arithmetic
+    returns new instances and auto-embeds the operands into the union of
+    their spaces.
     """
 
     __slots__ = ("space", "static", "terms")
@@ -163,20 +237,8 @@ class Operator:
         d = space.total_dim
         if matrix.shape != (d, d):
             raise SpaceError(f"matrix shape {matrix.shape} does not match total_dim {d}")
-        checked = []
-        for coeff, m in terms:
-            m = _as_csr(m)
-            if m.shape != (d, d):
-                raise SpaceError(f"term shape {m.shape} does not match total_dim {d}")
-            if not callable(coeff):
-                raise ConstructionError("time coefficient must be callable")
-            if getattr(coeff, "is_constant", False):
-                matrix = _as_csr(matrix + complex(coeff(0.0)) * m)
-            else:
-                checked.append((coeff, m))
         self.space = space
-        self.static = matrix
-        self.terms = tuple(checked)
+        self.static, self.terms = _canonical_terms(matrix, terms) if terms else (matrix, ())
 
     # -- inspection --------------------------------------------------------
 
@@ -292,7 +354,7 @@ class Operator:
             terms.append((c, a.static @ m))
         for c1, m1 in a.terms:
             for c2, m2 in b.terms:
-                terms.append((_compose_coeffs(c1, c2), m1 @ m2))
+                terms.append((c1 * c2, m1 @ m2))
         return Operator(a.space, static, tuple(terms))
 
     def __rmul__(self, other) -> "Operator":
@@ -302,22 +364,15 @@ class Operator:
 
     def scaled_by(self, coeff: Callable) -> "Operator":
         """Multiply by a scalar function of time."""
-        terms = [(coeff, self.static)] if self.static.nnz else []
-        for c, m in self.terms:
-            terms.append((_compose_coeffs(coeff, c), m))
-        return Operator(self.space, None, tuple(terms))
+        coeff = _as_coefficient(coeff)
+        return Operator(self.space, None, [(coeff, self.static)] + [(coeff * c, m) for c, m in self.terms])
 
     def dag(self) -> "Operator":
         return Operator(
             self.space,
             self.static.conj().T.tocsr(),
-            tuple((_conj_coeff(c), m.conj().T.tocsr()) for c, m in self.terms),
+            tuple((c.conj(), m.conj().T.tocsr()) for c, m in self.terms),
         )
-
-    def simplify(self) -> "Operator":
-        """Drop numerically empty time-dependent terms."""
-        terms = tuple((c, m) for c, m in self.terms if m.nnz)
-        return Operator(self.space, self.static, terms)
 
 
 def commutator(x: Operator, y: Operator) -> Operator:
@@ -590,64 +645,36 @@ def _factor(A) -> tuple[spla.SuperLU | None, float]:
 # serialization (sparse-triplet JSON form)
 
 
+def _entries(m: sp.csr_matrix) -> list:
+    """``[row, col, re, im]`` of every stored entry, in row-major order."""
+    c = m.tocoo()
+    return [[int(c.row[k]), int(c.col[k]), float(c.data[k].real), float(c.data[k].imag)]
+            for k in np.lexsort((c.col, c.row))]
+
+
+def _from_entries(entries, d: int) -> sp.csr_matrix:
+    rows, cols, vals = [], [], []
+    for r, c, re, im in entries:
+        rows.append(r)
+        cols.append(c)
+        vals.append(complex(re, im))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(d, d), dtype=np.complex128)
+
+
 def operator_to_dict(op: Operator) -> dict:
-    """JSON-ready sparse-triplet form; static part plus named envelope terms."""
-    coo = op.static.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    entries = [
-        [int(coo.row[k]), int(coo.col[k]), float(coo.data[k].real), float(coo.data[k].imag)]
-        for k in order
-    ]
-    out = {
-        "labels": list(op.space.labels),
-        "dims": list(op.space.dims),
-        "entries": entries,
-    }
+    """JSON-ready sparse-triplet form; static part plus one term per coefficient
+    (see :meth:`Coefficient.to_dict`)."""
+    out = {"labels": list(op.space.labels), "dims": list(op.space.dims), "entries": _entries(op.static)}
     if op.terms:
-        terms = []
-        for coeff, m in op.terms:
-            desc = getattr(coeff, "to_dict", None)
-            if desc is None:
-                raise ConstructionError(
-                    "cannot serialize a time-dependent operator with an opaque coefficient"
-                )
-            mc = m.tocoo()
-            morder = np.lexsort((mc.col, mc.row))
-            terms.append(
-                {
-                    "coefficient": desc(),
-                    "entries": [
-                        [int(mc.row[k]), int(mc.col[k]), float(mc.data[k].real), float(mc.data[k].imag)]
-                        for k in morder
-                    ],
-                }
-            )
-        out["terms"] = terms
+        out["terms"] = [{"coefficient": c.to_dict(), "entries": _entries(m)} for c, m in op.terms]
     return out
 
 
 def operator_from_dict(data: dict) -> Operator:
     space = LabeledSpace(zip(data["labels"], data["dims"]))
     d = space.total_dim
-    rows, cols, vals = [], [], []
-    for r, c, re, im in data["entries"]:
-        rows.append(r)
-        cols.append(c)
-        vals.append(complex(re, im))
-    static = sp.csr_matrix((vals, (rows, cols)), shape=(d, d), dtype=np.complex128)
-    terms = []
-    for term in data.get("terms", ()):
-        from .envelopes import envelope_from_dict
-
-        coeff = envelope_from_dict(term["coefficient"])
-        rows, cols, vals = [], [], []
-        for r, c, re, im in term["entries"]:
-            rows.append(r)
-            cols.append(c)
-            vals.append(complex(re, im))
-        m = sp.csr_matrix((vals, (rows, cols)), shape=(d, d), dtype=np.complex128)
-        terms.append((coeff, m))
-    return Operator(space, static, tuple(terms))
+    terms = [(Coefficient.from_dict(t["coefficient"]), _from_entries(t["entries"], d)) for t in data.get("terms", ())]
+    return Operator(space, _from_entries(data["entries"], d), terms)
 
 
 def operator_to_json(op: Operator, **kwargs) -> str:

@@ -171,7 +171,7 @@ def decompose(g_bar: SLHTriple, P0: Operator, tol: float = TOL_OP) -> Eliminatio
     G = [L * P0 for L in g_bar.L]
     slow_space, V = _slow_basis(P0)
     return EliminationProblem(
-        g_bar=g_bar, P0=P0, Y=Y.simplify(), A=A.simplify(), B=B.simplify(),
+        g_bar=g_bar, P0=P0, Y=Y, A=A, B=B,
         F=F, G=G, W=g_bar.S, slow_space=slow_space, slow_isometry=V,
     )
 
@@ -254,7 +254,7 @@ def eliminate(
                     coeff = coeff + Operator(g.space, np.eye(g.space.total_dim))
                 term = coeff * prob.W[l, j] * P0
                 acc = term if acc is None else acc + term
-            S_red[i, j] = acc.simplify()
+            S_red[i, j] = acc
 
     # iH = -K - sum L^L/2 on the slow space
     iH = (-1.0) * K_red

@@ -225,7 +225,7 @@ def _symmetrized(H: Operator, tol: float) -> Operator:
     resid = (H - H_dag).max_abs()
     if not resid <= tol:
         raise CompositionError(f"Hamiltonian has anti-Hermitian residual {resid:.3e} > {tol:.1e}")
-    return ((H + H_dag) * 0.5).simplify()
+    return (H + H_dag) * 0.5
 
 
 # --------------------------------------------------------------------------
@@ -472,7 +472,6 @@ def feedback_multi(g: SLHTriple, wiring, check: bool = True) -> FeedbackResult:
     # X_c = block c of (I - S_xy)^-1 L_x, Y_c,b = block (c, b) of (I - S_xy)^-1 S_x,ybar
     X = [
         Operator(space, subblock(c, 0), [(coeff, subblock(c, 1 + t)) for t, (_, coeff, _) in enumerate(terms)])
-        .simplify()
         for c in range(k)
     ]
     Y =[[Operator(space, subblock(c, 1 + len(terms) + b)) for b in range(m)] for c in range(k)]

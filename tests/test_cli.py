@@ -63,26 +63,52 @@ class TestCompose:
         assert code == 3
         assert "algebraic loop" in err
 
-    def test_pulsed_wire_simulates_but_does_not_serialize(self, tmp_path, capsys):
-        # a pulsed source closes through a wire; only its JSON form is refused,
-        # since products of envelopes have no serialized form
-        f = tmp_path / "pulsed.qnet"
-        f.write_text(
-            "component src = coherent_source(alpha=0.3, envelope=gaussian(t0=2, sigma=0.5));\n"
-            "component cav = one_sided_cavity(gamma=1.0, truncation=6);\n"
-            "wire src.out[1] -> cav.in[1];\n"
-            "expose cav.out[1] as output;"
-        )
-        out_file = tmp_path / "traj.csv"
-        code, _, _ = run_cli(["simulate", f, "--t1", "8", "--samples", "9", "-o", out_file], capsys)
-        assert code == 0
-        rows = out_file.read_text().strip().split("\n")
-        assert rows[0] == "t,cav.n"
-        assert max(float(r.split(",")[1]) for r in rows[1:]) > 0.05
-        code, out, err = run_cli(["compose", f], capsys)
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
-        assert "Traceback" not in err
+    def test_pulsed_wire_simulates_and_serializes(self, tmp_path, capsys):
+        # a pulsed source closes through a wire; its envelope products
+        # (xi, xi* and |xi|^2) have a JSON form, so compose and JSON output work
+        from slhnet.slh import triple_from_json, triples_close
+
+        for source in ("coherent_source(alpha=0.3, envelope=gaussian(t0=2, sigma=0.5))",
+                       "fock_source(n=1, envelope=gaussian(t0=2, sigma=0.5))"):
+            text = (
+                f"component src = {source};\n"
+                "component cav = one_sided_cavity(gamma=1.0, truncation=6);\n"
+                "wire src.out[1] -> cav.in[1];\n"
+                "expose cav.out[1] as output;"
+            )
+            f = tmp_path / "pulsed.qnet"
+            f.write_text(text)
+            out_file = tmp_path / "traj.csv"
+            code, _, _ = run_cli(["simulate", f, "--t1", "8", "--samples", "9", "-o", out_file], capsys)
+            assert code == 0
+            rows = out_file.read_text().strip().split("\n")
+            assert rows[0].startswith("t,cav.n")
+            assert max(float(r.split(",")[1]) for r in rows[1:]) > 0.05
+            code, out, err = run_cli(["compose", f], capsys)
+            assert code == 0 and err == ""
+            triple = elaborate(parse(text)).triple
+            assert '"shape": "product"' in out
+            assert triples_close(triple_from_json(out), triple, 1e-14, times=(0.5, 1.7, 2.0, 2.9, 4.0))
+            code, out, err = run_cli(["simulate", f, "--t1", "8", "--samples", "9", "--format", "json"], capsys)
+            assert code == 0 and err == ""
+            assert json.loads(out)["metadata"]["triple_sha256"] == triple_hash(triple)
+
+    @pytest.mark.parametrize("kind, param", [
+        ("one_sided_cavity", "gamma"),
+        ("tla_waveguide", "kappa_g"),
+        ("tla_waveguide", "kappa_perp"),
+        ("jaynes_cummings", "kappa"),
+    ])
+    @pytest.mark.parametrize("value", ["inf", "1e999"])
+    def test_non_finite_rate_exit_3(self, tmp_path, capsys, kind, param, value):
+        params = {"one_sided_cavity": {"gamma": "1.0"}, "tla_waveguide": {"kappa_g": "1.0"},
+                  "jaynes_cummings": {"kappa": "1.0", "g": "0.5"}}[kind]
+        params[param] = value
+        f = tmp_path / "rate.qnet"
+        f.write_text(f"component c = {kind}({', '.join(f'{k}={v}' for k, v in params.items())});")
+        code, out, err = run_cli(["check", f], capsys)
+        assert code == 3 and "status: ok" not in out
+        assert f"{param} must be finite and >= 0" in err
 
     @pytest.mark.parametrize("state, message", [
         ("fock(9)", "fock(9) does not fit in a dim-5 factor"),
@@ -168,6 +194,20 @@ class TestSimulate:
         )
         assert code == 1
         assert "tiny" in err
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_truncation_guard_must_be_a_number_at_least_zero(self, tmp_path, capsys, value):
+        # nan used to switch the guard off and -1 to stop at t = 0
+        f = tmp_path / "tiny.qnet"
+        f.write_text(
+            "component tiny = one_sided_cavity(gamma=0.05, truncation=3);\n"
+            "expose tiny.in[1] as d;\n"
+        )
+        code, out, err = run_cli(
+            ["simulate", f, "--t1", "8", "--drive", "d=coherent(alpha=2.0)", f"--trunc-guard={value}"], capsys
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: truncation guard must be a number >= 0") and err.count("\n") == 1
 
     def test_sweep_writes_files(self, tmp_path, capsys):
         out_file = tmp_path / "sweep.csv"

@@ -121,7 +121,7 @@ class TestCoherentDrive:
         assert abs(ss.expect(destroy("c", 12)) - want) < 1e-8
 
     def test_equals_cascaded_source_on_kerr_cavity(self):
-        # two independent code paths for the same generator
+        # the drive builder's port-1 wiring against the series product written out
         g = kerr_cavity(1.5, 0.2, 0.3, truncation=7, label="k")
         env = GaussianPulse(t0=2.0, sigma=0.8)
         direct = liouvillian_coherent(g, env)
@@ -141,6 +141,89 @@ class TestCoherentDrive:
         src = concat(coherent_source(0.0), coherent_source(0.3))
         cascaded = liouvillian(series(g, src))
         assert np.abs((direct.matrix(0) - cascaded.matrix(0)).toarray()).max() < 1e-12
+
+
+def _operator_valued_two_port(rng, d=4):
+    """Two ports whose S entries are dense operators: the blocks of a random
+    2d x 2d unitary."""
+    a = destroy("m", d)
+    m = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
+    q, _ = np.linalg.qr(m)
+    S = [[Operator(a.space, q[i * d:(i + 1) * d, j * d:(j + 1) * d]) for j in range(2)] for i in range(2)]
+    return SLHTriple(S, [0.7 * a + 0.2j * a.dag(), 0.4 * a], 0.3 * a.dag() * a + 0.1 * (a * a + a.dag() * a.dag()))
+
+
+def _dense_driven_generator(g, alpha, port, rho):
+    """-i[H, rho] + sum_i D[L_i] rho + alpha [S_:j rho, L^] + alpha* [L, rho S_:j^]
+    + |alpha|^2 (sum_i S_ij rho S_ij^ - rho), all in dense numpy."""
+    H = g.H.toarray()
+    out = -1j * (H @ rho - rho @ H)
+    for i, L in enumerate(g.L):
+        L = L.toarray()
+        Ld = L.conj().T
+        S = g.S[i, port - 1].toarray()
+        Sd = S.conj().T
+        out += L @ rho @ Ld - 0.5 * (Ld @ L @ rho + rho @ Ld @ L)
+        out += alpha * (S @ rho @ Ld - Ld @ S @ rho) + np.conj(alpha) * (L @ rho @ Sd - rho @ Sd @ L)
+        out += abs(alpha) ** 2 * S @ rho @ Sd
+    return out - abs(alpha) ** 2 * rho
+
+
+class TestDriveOracle:
+    """The wired-source generator against the drive formula in dense numpy."""
+
+    @pytest.mark.parametrize("case, port", [("operator_S", 1), ("operator_S", 2), ("fabry_perot", 2)])
+    @pytest.mark.parametrize("pulsed", [False, True], ids=["constant", "gaussian"])
+    def test_matches_dense_drive_formula(self, rng, case, port, pulsed):
+        from slhnet.components import fabry_perot
+        from slhnet.envelopes import ScaledEnvelope
+
+        g = _operator_valued_two_port(rng) if case == "operator_S" else fabry_perot(1.0, 0.5, 0.2, truncation=5, label="m")
+        d = g.space.total_dim
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = x @ x.conj().T
+        rho /= np.trace(rho)
+        alpha = ScaledEnvelope(0.4 - 0.3j, GaussianPulse(t0=2.0, sigma=0.8)) if pulsed else 0.3 - 0.2j
+        gen = liouvillian_coherent(g, alpha, port=port)
+        for t in (0.0, 0.9, 2.0, 2.7, 4.0) if pulsed else (0.0,):
+            a = alpha(t) if pulsed else alpha
+            got = (gen.matrix(t) @ rho.reshape(-1)).reshape(d, d)
+            assert np.abs(got - _dense_driven_generator(g, a, port, rho)).max() <= 1e-12
+
+
+class TestTermCounts:
+    """One term per distinct envelope product: xi, xi* and |xi|^2 at most."""
+
+    def test_cascaded_pulsed_source(self):
+        cav = one_sided_cavity(1.0, 0.0, truncation=6, label="cav")
+        gen = liouvillian(series(cav, coherent_source(0.4, GaussianPulse(t0=2.0, sigma=0.5))))
+        # |xi|^2 (I rho I - rho) is exactly zero behind a unit scattering entry
+        assert len(gen.terms) == 2
+
+    def test_source_through_beamsplitter_loop(self):
+        from slhnet.components import beamsplitter
+        from slhnet.slh import feedback_multi
+
+        cav = one_sided_cavity(1.0, 0.0, truncation=6, label="cav")
+        net = concat(coherent_source(0.4, GaussianPulse(t0=2.0, sigma=0.5)), beamsplitter(theta=0.3), cav)
+        # source -> splitter in 1, splitter out 1 -> cavity -> splitter in 2
+        g = feedback_multi(net, [(1, 2), (2, 4), (4, 3)]).triple
+        assert [len(L.terms) for L in g.L] == [1]
+        assert len(g.H.terms) == 2
+        assert len(liouvillian(g).terms) <= 3
+
+    def test_fock_hierarchy_of_scalar_s_cascade(self):
+        casc = series(one_sided_cavity(2.0, 0.5, truncation=5, label="c2"),
+                      one_sided_cavity(3.0, -0.7, truncation=5, label="c1"))
+        assert len(fock_hierarchy(casc, GaussianPulse(t0=2.0, sigma=0.5), 1).terms) == 2
+
+    def test_pulsed_hamiltonian_through_nested_checked_concats(self):
+        a = destroy("x", 3)
+        h = (0.3 * a).scaled_by(GaussianPulse(t0=2.0, sigma=0.5))
+        g = SLHTriple(1, [a], h + h.dag())
+        for k in range(4):
+            g = concat(g, one_sided_cavity(1.0, truncation=2, label=f"y{k}"))
+            assert len(g.H.terms) == 2
 
 
 class TestGaussianInput:
@@ -393,6 +476,24 @@ class TestIntegrator:
         assert err.value.label == "tiny"
         assert err.value.population > 1e-6
         assert "in block (2,2)" in str(err.value)
+
+    @pytest.mark.parametrize("limit", [float("nan"), -1.0, -1e-12])
+    def test_truncation_guard_value_checked_before_integrating(self, limit):
+        cav = one_sided_cavity(0.05, 0.0, truncation=3, label="tiny")
+        rho0 = fock_density(cav.space, {"tiny": 0})
+        calls = []
+
+        class Counting(Superoperator):
+            def rhs(self):
+                return lambda t, y: calls.append(t) or self.apply(y, t)
+
+        gen = liouvillian_coherent(cav, 2.0)
+        with pytest.raises(ValidationError, match="truncation guard must be a number >= 0"):
+            evolve_density(Counting(gen.space, gen.static), rho0, (0, 8.0), truncation_guard=limit)
+        hier = fock_hierarchy(cav, GaussianPulse(t0=3.0, sigma=1.0), 1)
+        with pytest.raises(ValidationError, match="truncation guard must be a number >= 0"):
+            evolve_hierarchy(hier, rho0, (0, 6.0), truncation_guard=limit)
+        assert calls == []
 
     def test_bad_span(self):
         space = LabeledSpace([("c", 2)])

@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from slhnet.envelopes import ConstantAmplitude, GaussianPulse
 from slhnet.errors import ConstructionError, SpaceError
 from slhnet.hilbert import (
+    Coefficient,
     LabeledSpace,
     _as_csr,
     Operator,
@@ -159,7 +163,7 @@ class TestAsCsr:
         before = [(m.data.copy(), m.indices.copy(), m.indptr.copy()) for m in (static, term)]
         target = LabeledSpace([("m", 3), ("q", 2)])
         (op + op, op - op, op * op, 2.0 * op, op.dag(), op.embed(target),
-         op.scaled_by(lambda t: 2 * t), op.simplify(), op.at(0.5), op * destroy("q", 2))
+         op.scaled_by(lambda t: 2 * t), op.at(0.5), op * destroy("q", 2))
         for m, (data, indices, indptr) in zip((op.static, op.terms[0][1]), before):
             assert np.array_equal(m.data, data)
             assert np.array_equal(m.indices, indices) and np.array_equal(m.indptr, indptr)
@@ -231,6 +235,45 @@ class TestTimeDependence:
         op = destroy("m", 3).scaled_by(lambda t: t)
         with pytest.raises(ConstructionError):
             op.constant()
+
+
+class TestCoefficient:
+    def test_equality_is_the_multiset_of_factors(self):
+        f, g = GaussianPulse(t0=1.0, sigma=0.5), GaussianPulse(t0=1.0, sigma=0.5)
+        xi, xs = Coefficient([(f, False)]), Coefficient([(f, True)])
+        assert xi * xs == xs * xi and hash(xi * xs) == hash(xs * xi)
+        assert (xi * xs).factors == ((f, False), (f, True))  # first appearance, not id() order
+        assert xi != xs and xi * xi != xi
+        assert xi != Coefficient([(g, False)])  # envelopes compare by identity
+        assert xs.conj() == xi
+
+    def test_equal_coefficients_merge_and_zero_terms_drop(self):
+        a = destroy("m", 3)
+        env = GaussianPulse(t0=1.0, sigma=0.5)
+        x = a.scaled_by(env)
+        assert len((x + x).terms) == 1
+        assert (x - x).is_static and (x - x).static.nnz == 0
+        prod = x.dag() * x + x * x.dag()  # xi* xi and xi xi* are one coefficient
+        assert len(prod.terms) == 1
+        t = 1.3
+        want = abs(env(t)) ** 2 * (a.dag() * a + a * a.dag()).constant().toarray()
+        assert np.abs(prod.at(t).toarray() - want).max() < 1e-14
+
+    def test_constant_factors_fold_into_the_matrix(self):
+        a = destroy("m", 3)
+        env = GaussianPulse(t0=1.0, sigma=0.5)
+        op = a.scaled_by(ConstantAmplitude(2.0 - 1.0j)).scaled_by(env).dag()
+        (coeff, m), = op.terms
+        assert coeff == Coefficient([(env, True)])
+        assert np.abs(m.toarray() - (2.0 + 1.0j) * a.dag().constant().toarray()).max() < 1e-15
+        assert a.scaled_by(ConstantAmplitude(0.5)).is_static
+
+    def test_single_envelope_serializes_as_itself(self):
+        env = GaussianPulse(t0=1.0, sigma=0.5)
+        data = json.loads(operator_to_json(destroy("m", 3).scaled_by(env)))
+        assert data["terms"][0]["coefficient"] == env.to_dict()
+        data = json.loads(operator_to_json(destroy("m", 3).scaled_by(env).dag()))
+        assert data["terms"][0]["coefficient"] == {"shape": "product", "factors": [{"envelope": env.to_dict(), "conj": True}]}
 
 
 class TestPartialTrace:
@@ -319,3 +362,13 @@ class TestSerialization:
         op = destroy("m", 3).scaled_by(lambda t: t)
         with pytest.raises(ConstructionError):
             operator_to_json(op)
+
+    def test_wrapped_callable_rejected_inside_products(self):
+        from slhnet.envelopes import CallableEnvelope, ScaledEnvelope
+
+        opaque = CallableEnvelope(lambda t: t)
+        for coeff in (opaque, ScaledEnvelope(2.0, opaque)):
+            op = destroy("m", 3).scaled_by(coeff)
+            for x in (op, op.dag(), op * op.dag()):
+                with pytest.raises(ConstructionError):
+                    operator_to_json(x)

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slhnet.envelopes import GaussianPulse
+from slhnet.envelopes import GaussianPulse, SquarePulse
 from slhnet.errors import CompositionError, SLHNetError
-from slhnet.hilbert import LabeledSpace, Operator, destroy
+from slhnet.hilbert import Coefficient, LabeledSpace, Operator, destroy, operator_from_json, operator_to_json
 from slhnet.netlang import _TOKEN, elaborate, parse
 from slhnet.slh import SLHTriple, concat, triple_to_json, triples_close
 
@@ -73,21 +73,25 @@ def test_embed_matches_dense_kron_and_transpose(case):
 
 
 def _triple(rng, label, dim, n_ports, pulsed):
-    """Random triple on one mode: scalar unitary S, L linear in a/a^dag
-    (with an envelope term when ``pulsed``), static Hermitian H.
+    """Random triple on one mode: scalar unitary S, L linear in a/a^dag and
+    Hermitian H, with envelope terms in L and H when ``pulsed``.
 
-    H stays static: each symmetrization splits an envelope term of H in
-    two, so nested concatenations differ from the n-ary one in term layout
-    (not in value)."""
+    Symmetrizing H at each checked concatenation keeps one term per
+    coefficient, so nested concatenations have the n-ary one's term layout."""
     a = destroy(label, dim)
+    env = GaussianPulse(t0=2.0, sigma=0.7)
     U = random_unitary(rng, n_ports)
     S = [[complex(U[i, j]) for j in range(n_ports)] for i in range(n_ports)]
     L = []
     for _ in range(n_ports):
         c1, c2 = rng.normal(size=2) + 1j * rng.normal(size=2)
         x = c1 * a + c2 * a.dag()
-        L.append(x + x.scaled_by(GaussianPulse(t0=2.0, sigma=0.7)) if pulsed else x)
-    return SLHTriple(S, L, random_hermitian(rng, a.space), check=False)
+        L.append(x + x.scaled_by(env) if pulsed else x)
+    H = random_hermitian(rng, a.space)
+    if pulsed:
+        h = complex(*rng.normal(size=2)) * (a * a).scaled_by(env)
+        H = H + h + h.dag()
+    return SLHTriple(S, L, H, check=False)
 
 
 @st.composite
@@ -130,6 +134,30 @@ def test_nary_concat_checks_unchecked_parts(gs, bad, part):
         match = "anti-Hermitian"
     with pytest.raises(CompositionError, match=match):
         concat(*(broken if k == bad else x for k, x in enumerate(gs)))
+
+
+@st.composite
+def coefficient_operators(draw):
+    """An operator whose terms carry products of up to three envelopes, each
+    possibly conjugated, from a pool of two envelopes."""
+    pool = (GaussianPulse(t0=1.0, sigma=0.5), SquarePulse(0.2, 2.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space = LabeledSpace([("m", draw(st.integers(1, 3)))])
+    d = space.total_dim
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()), min_size=1, max_size=3))
+        terms.append((Coefficient(factors), rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))))
+    return Operator(space, rng.normal(size=(d, d)), terms)
+
+
+@PROPERTY
+@given(coefficient_operators())
+def test_coefficient_products_round_trip_through_json(op):
+    back = operator_from_json(operator_to_json(op))
+    assert len(back.terms) == len(op.terms)
+    for t in (0.3, 1.1, 2.2):
+        assert np.abs(back.at(t).toarray() - op.at(t).toarray()).max() <= 1e-14
 
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
