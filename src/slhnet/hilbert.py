@@ -174,12 +174,24 @@ class Coefficient:
         return {"shape": "product", "factors": [{"envelope": f.to_dict(), "conj": conj} for f, conj in self.factors]}
 
     @staticmethod
-    def from_dict(data: dict) -> "Coefficient":
+    def from_dict(data: dict, envelopes: dict | None = None) -> "Coefficient":
+        """Inverse of :meth:`to_dict`.  ``envelopes`` maps the canonical JSON
+        of each envelope already read to its object, so equal envelope
+        dicts give one shared object and coefficients built from them
+        compare equal (and their terms merge) after a round trip."""
         from .envelopes import envelope_from_dict
 
+        envelopes = {} if envelopes is None else envelopes
+
+        def envelope(d):
+            key = json.dumps(d, sort_keys=True)
+            if key not in envelopes:
+                envelopes[key] = envelope_from_dict(d)
+            return envelopes[key]
+
         if data.get("shape") != "product":
-            return Coefficient([(envelope_from_dict(data), False)])
-        return Coefficient((envelope_from_dict(f["envelope"]), bool(f["conj"])) for f in data["factors"])
+            return Coefficient([(envelope(data), False)])
+        return Coefficient((envelope(f["envelope"]), bool(f["conj"])) for f in data["factors"])
 
 
 def _as_coefficient(coeff) -> Coefficient:
@@ -670,10 +682,14 @@ def operator_to_dict(op: Operator) -> dict:
     return out
 
 
-def operator_from_dict(data: dict) -> Operator:
+def operator_from_dict(data: dict, envelopes: dict | None = None) -> Operator:
+    """Inverse of :func:`operator_to_dict`; ``envelopes`` is shared with
+    :meth:`Coefficient.from_dict` (one envelope object per distinct dict)."""
     space = LabeledSpace(zip(data["labels"], data["dims"]))
     d = space.total_dim
-    terms = [(Coefficient.from_dict(t["coefficient"]), _from_entries(t["entries"], d)) for t in data.get("terms", ())]
+    envelopes = {} if envelopes is None else envelopes
+    terms = [(Coefficient.from_dict(t["coefficient"], envelopes), _from_entries(t["entries"], d))
+             for t in data.get("terms", ())]
     return Operator(space, _from_entries(data["entries"], d), terms)
 
 

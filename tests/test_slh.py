@@ -4,6 +4,7 @@ import pytest
 from conftest import random_triple
 
 from slhnet.components import beamsplitter, coherent_source, one_sided_cavity
+from slhnet.dynamics import liouvillian
 from slhnet.envelopes import GaussianPulse
 from slhnet.errors import AlgebraicLoopError, CompositionError
 from slhnet.hilbert import (
@@ -14,6 +15,7 @@ from slhnet.hilbert import (
     number,
     op_close,
 )
+from slhnet.netlang import elaborate, parse
 from slhnet.slh import (
     PortMap,
     SLHTriple,
@@ -336,6 +338,22 @@ class TestInvariantsAndSerialization:
         assert h1 == h2
         other = series(g, identity_triple(2))
         assert triple_hash(other) == h1  # pass-through preserves the triple
+
+    @pytest.mark.parametrize("source, n_terms", [
+        ("fock_source(n=1, envelope=gaussian(t0=2, sigma=0.5))", 3),
+        ("coherent_source(alpha=0.3, envelope=gaussian(t0=2, sigma=0.5))", 2),
+    ])
+    def test_round_trip_keeps_envelope_terms_merged(self, source, n_terms):
+        # equal envelope dicts read back as one object, so the generator's
+        # terms (xi, xi* and |xi|^2 products) merge as before serialization
+        g = elaborate(parse(
+            f"component src = {source};\n"
+            "component cav = one_sided_cavity(gamma=1.0, truncation=4);\n"
+            "wire src.out[1] -> cav.in[1];"
+        )).triple
+        back = triple_from_json(triple_to_json(g))
+        assert len(liouvillian(g).terms) == len(liouvillian(back).terms) == n_terms
+        assert triple_hash(back) == triple_hash(g)
 
     def test_portmap_validation(self):
         with pytest.raises(CompositionError):

@@ -5,14 +5,23 @@ the sparse-LU loop solve and the GMRES steady state are checked against
 an independent oracle rather than against themselves.
 """
 
+import re
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from conftest import random_hermitian, random_unitary
 
+from slhnet import slh
 from slhnet.cli import main
 from slhnet.components import one_sided_cavity
 from slhnet.dynamics import (
@@ -30,7 +39,10 @@ from slhnet.dynamics import (
 from slhnet.envelopes import GaussianPulse
 from slhnet.errors import AlgebraicLoopError, SteadyStateError
 from slhnet.hilbert import LabeledSpace, Operator, _factor, destroy, number
+from slhnet.netlang import elaborate, parse
 from slhnet.slh import LOOP_SINGULARITY_TOL, SLHTriple, concat, feedback_multi, series
+
+NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
 PULSE = GaussianPulse(t0=2.0, sigma=0.7)
 PULSE_TIMES = (0.5, 1.7, 2.0, 2.9, 4.0)
@@ -163,6 +175,105 @@ class TestLoopSolve:
         red = feedback_multi(g, [(1, 1), (2, 2)]).triple
         for got, want in zip(_reduced_blocks(red), _dense_feedback(g, [0, 1], [0, 1])):
             assert np.abs(got - want).max() < 1e-6 * max(1.0, np.abs(want).max())
+
+
+@st.composite
+def loop_systems(draw):
+    """(loop, rhs, disjoint): a nonsingular loop ``I - S`` on k blocks of
+    dimension d and a sparse right-hand side.  S has scalar x identity
+    blocks, dense blocks, diagonal blocks with purely imaginary entries,
+    or a random sparse pattern, scaled to norm 0.9.  The right-hand side
+    is either random plus one empty and one all-rows column, or
+    (``disjoint``) one column per component of the loop's pattern."""
+    kind = draw(st.sampled_from(["scalar", "operator", "imaginary", "sparse"]))
+    k, d = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kd = k * d
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    mask = rng.random((k, k)) < 0.7
+    if kind == "scalar":
+        S = np.kron(cplx(k, k) * mask, np.eye(d))
+    elif kind == "operator":
+        S = cplx(kd, kd)
+    elif kind == "imaginary":
+        S = np.block([[np.diag(1j * rng.normal(size=d) * (rng.random(d) < 0.7) * mask[r, c]) for c in range(k)]
+                      for r in range(k)])
+    else:
+        S = cplx(kd, kd) * (rng.random((kd, kd)) < 0.15)
+    norm = np.linalg.norm(S, 2)
+    loop = sp.csr_matrix(np.eye(kd) - (0.9 / norm * S if norm else S))
+
+    disjoint = draw(st.booleans())
+    if disjoint:
+        _, labels = connected_components(loop != 0, directed=False)
+        comps = [np.flatnonzero(labels == c) for c in rng.permutation(labels.max() + 1)]
+        rhs = np.zeros((kd, len(comps)), dtype=complex)
+        for j, rows in enumerate(comps):
+            rhs[rows, j] = cplx(rows.size) * (rng.random(rows.size) < 0.6)
+    else:
+        n = draw(st.integers(0, 2 * kd))
+        rhs = np.hstack([cplx(kd, n) * (rng.random((kd, n)) < draw(st.sampled_from([0.1, 0.3]))),
+                         np.zeros((kd, 1)), cplx(kd, 1)])[:, rng.permutation(n + 2)]
+    return loop, sp.csr_matrix(rhs), disjoint
+
+
+class _RecordingLU:
+    """A SuperLU whose ``solve`` records the width of every right-hand side."""
+
+    def __init__(self, lu):
+        self.lu, self.widths = lu, []
+
+    def solve(self, b):
+        self.widths.append(b.shape[1])
+        return self.lu.solve(b)
+
+
+class TestPackedLoopSolve:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(loop_systems())
+    def test_packed_solve_is_bitwise_the_dense_solve(self, case):
+        loop, rhs, disjoint = case
+        factored = []
+
+        def factor(a):
+            lu, smallest = _factor(a)
+            factored.append(_RecordingLU(lu))
+            return factored[-1], smallest
+
+        with mock.patch.object(slh, "_factor", factor):
+            got = slh._solve_loop(loop, rhs)
+        (lu,) = factored
+        want = sp.csr_matrix(lu.lu.solve(rhs.toarray()))
+        assert got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+        # one dense column per colour
+        nonempty = int((rhs.getnnz(axis=0) > 0).sum())
+        if disjoint:
+            assert lu.widths == ([1] if nonempty else [])
+        elif connected_components(loop != 0, directed=False)[0] == 1:
+            assert lu.widths == [nonempty]  # one component: nothing to pack
+        else:
+            assert len(lu.widths) == 1 and lu.widths[0] <= nonempty
+
+    def test_vec_elim_loop_peak_memory_below_one_dense_rhs(self):
+        # the unpacked solve held a kd x (1 + m) d complex block (12.6 MB at
+        # truncation 16); the packed one needs a few columns of it
+        text = re.sub(r"truncation=\d+", "truncation=16", (NETWORKS / "vec_elim_loop.qnet").read_text())
+        nd = parse(text)
+        tracemalloc.start()
+        try:
+            g = elaborate(nd).triple
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k, m, d = 4, g.n_ports, g.space.total_dim
+        assert (k * d, m) == (1024, 2)
+        assert peak < k * d * (1 + m) * d * 16
 
 
 def _dark_state_generator(rng) -> Superoperator:
