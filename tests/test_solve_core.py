@@ -261,8 +261,8 @@ class TestPackedLoopSolve:
             assert len(lu.widths) == 1 and lu.widths[0] <= nonempty
 
     def test_vec_elim_loop_peak_memory_below_one_dense_rhs(self):
-        # the unpacked solve held a kd x (1 + m) d complex block (12.6 MB at
-        # truncation 16); the packed one needs a few columns of it
+        # one dense right-hand side is a kd x (1 + m) d complex block (12.6 MB
+        # at truncation 16); the packed solve holds a few of its columns
         text = re.sub(r"truncation=\d+", "truncation=16", (NETWORKS / "vec_elim_loop.qnet").read_text())
         nd = parse(text)
         tracemalloc.start()
