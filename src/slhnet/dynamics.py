@@ -1,7 +1,9 @@
 """Equations of motion implied by a triple, and their integration.
 
 Master equations act on the vectorized density matrix (row-major
-``vec``, so ``vec(A rho B) = kron(A, B^T) vec(rho)``).  Builders:
+``vec``, so ``vec(A rho B) = kron(A, B^T) vec(rho)``); they are
+integrated on its isometric real coordinates (``_RealCoordinates``).
+Builders:
 
 * ``liouvillian``            -- vacuum-input Lindblad generator
 * ``liouvillian_coherent``   -- coherent drive on one designated port
@@ -17,6 +19,12 @@ and the hierarchy's wavepacket coupling all read it off there; its
 time-dependent terms are one per merged coefficient (alpha, alpha* and
 |alpha|^2).  Every sandwich rho -> A rho B comes from ``_sandwich``, and
 the Fock hierarchy is a ``Superoperator`` over its stacked blocks.
+
+Both ``evolve_density`` and ``evolve_hierarchy`` integrate a
+Hermiticity-preserving linear ODE, so both run on the real coordinates of
+the state, d^2 reals for d^2 degrees of freedom, with the generator mapped
+to a real sparse matrix; a generator or initial state that the
+conjugation does not fix is refused, never projected.
 
 Also here: Heisenberg-picture coefficient extraction, input-output
 structure, an adaptive/fixed-step integrator whose guards stop on trace
@@ -93,20 +101,19 @@ DEFAULT_RTOL = 1e-8
 # states
 
 
-def _negative_eigenvalue(m: np.ndarray) -> float | None:
-    """Most negative eigenvalue of the Hermitian part of ``m`` if it lies
+def _negative_eigenvalue(herm: np.ndarray) -> float | None:
+    """Most negative eigenvalue of the Hermitian matrix whose lower triangle
+    ``herm`` holds (its strict upper triangle is never read), if it lies
     below ``-TOL_POSITIVITY``, else None.
 
     A Cholesky factorization of ``herm + TOL_POSITIVITY I`` succeeds exactly
     when no eigenvalue lies below ``-TOL_POSITIVITY``; ``eigvalsh`` runs only
     when it fails, to confirm the violation and report the eigenvalue.
     """
-    herm = 0.5 * (m + m.conj().T)
-    try:
-        np.linalg.cholesky(herm + TOL_POSITIVITY * np.eye(len(herm)))
+    _, info = sla.lapack.zpotrf(herm + TOL_POSITIVITY * np.eye(len(herm)), lower=1)
+    if info == 0:
         return None
-    except np.linalg.LinAlgError:
-        w = float(np.linalg.eigvalsh(herm).min())
+    w = float(np.linalg.eigvalsh(herm, UPLO="L").min())
     return w if w < -TOL_POSITIVITY else None
 
 
@@ -128,7 +135,8 @@ class DensityState:
         herm = (self.rho - self.rho.dag()).max_abs()
         if herm > TOL_OP:
             raise ValidationError(f"rho is not Hermitian: residual {herm:.3e}")
-        w = _negative_eigenvalue(m.toarray())
+        m = m.toarray()
+        w = _negative_eigenvalue(0.5 * (m + m.conj().T))
         if w is not None:
             raise ValidationError(f"rho has negative eigenvalue {w:.3e}")
 
@@ -256,6 +264,131 @@ def vectorize(rho: Operator | np.ndarray) -> np.ndarray:
 def unvectorize(y: np.ndarray, space: LabeledSpace) -> Operator:
     d = space.total_dim
     return Operator(space, np.asarray(y, dtype=np.complex128).reshape(d, d))
+
+
+class _RealCoordinates:
+    """Isometric real coordinates of the vectors ``y`` that a conjugation
+    involution ``s`` fixes, ``y[s[k]] = conj(y[k])``.
+
+    For vec(rho) ``s`` swaps entries (i, j) and (j, i); for the Fock
+    hierarchy's stacked blocks it swaps entry (i, j) of block (m, n) with
+    entry (j, i) of block (n, m), so rho_nm = rho_mn^ is the same
+    statement.  On a pair k < s[k] the coordinates are x[k] = sqrt2 Re y[k]
+    and x[s[k]] = sqrt2 Im y[k]; a fixed point k = s[k] (a diagonal entry of
+    a diagonal block) keeps x[k] = y[k].  So ||x||_2 = ||y||_2, and x sits
+    where y does: a diagonal entry of rho is read in place.
+
+    ``y = T x`` with ``y[k] = t_self[k] x[k] + t_pair[k] x[s[k]]``.  A
+    superoperator G that commutes with the involution has the real matrix
+    T^ G T; row k of it reads row k of G only, so each entry of G gives at
+    most two real entries (``real_matrix``).
+    """
+
+    def __init__(self, d: int, nb: int = 1):
+        n = nb * nb * d * d
+        s = np.arange(n).reshape(nb, nb, d, d).transpose(1, 0, 3, 2).reshape(-1)
+        k = np.arange(n)
+        self.d, self.s = d, s
+        self.lo = np.flatnonzero(k < s)
+        self.hi = s[self.lo]
+        self.r = math.sqrt(0.5)
+        self.t_self = np.ones(n, dtype=np.complex128)
+        self.t_self[self.lo], self.t_self[self.hi] = self.r, -1j * self.r
+        self.t_pair = np.zeros(n, dtype=np.complex128)
+        self.t_pair[self.lo], self.t_pair[self.hi] = 1j * self.r, self.r
+        # row k of T^ G T is Re(w_row[k] (G y)[k]): sqrt2 Re, -sqrt2 Im or Re
+        self.w_row = self.t_self.conj() * np.where(k == s, 1.0, 2.0)
+
+    def to_real(self, y: np.ndarray) -> np.ndarray:
+        """Coordinates of ``y``; a ``y`` the involution does not fix within
+        ``TOL_OP`` is refused with its residual."""
+        y = np.asarray(y, dtype=np.complex128)
+        resid = np.abs(y - y[self.s].conj()).max()
+        if not resid <= TOL_OP:  # NaN fails too
+            raise ValidationError(f"initial state is not Hermitian: residual {resid:.3e}")
+        x = y.real.copy()
+        x[self.lo] = y[self.lo].real / self.r
+        x[self.hi] = y[self.lo].imag / self.r
+        return x
+
+    def to_complex(self, x: np.ndarray, k=slice(None)) -> np.ndarray:
+        """``y[..., k]`` from the coordinates, one row per sample of a 2-D ``x``."""
+        return self.t_self[k] * x[..., k] + self.t_pair[k] * x[..., self.s[k]]
+
+    def lower(self, x: np.ndarray) -> np.ndarray:
+        """A d x d matrix whose lower triangle is rho's, from the coordinates
+        of one density matrix (nb = 1): rho_ji = (x_ij - i x_ji) / sqrt2
+        for i < j.  Its strict upper triangle is not rho's."""
+        d = self.d
+        X = x.reshape(d, d)
+        out = self.r * (X.T - 1j * X)
+        np.fill_diagonal(out, x[:: d + 1])
+        return out
+
+    def fold(self, u: np.ndarray) -> np.ndarray:
+        """``w = T^T u``, so that ``y . u = x . w``; ``w`` is real when the
+        involution maps ``u`` to its conjugate, as ``vec(X^T)`` of a
+        Hermitian X."""
+        return self.t_self * u + self.t_pair[self.s] * u[self.s]
+
+    def real_matrix(self, G: sp.spmatrix) -> sp.csr_matrix:
+        """T^ G T in one pass over the CSR entries of G, after checking that
+        G commutes with the involution: entry (a, c) gives row a its real
+        entries at columns c and s[c]."""
+        G = sp.csr_matrix(G)
+        # J G J moves entry (a, c) to (s[a], s[c]) and conjugates it
+        resid = np.abs((G[self.s][:, self.s].conj() - G).data).max(initial=0.0)
+        if not resid <= TOL_OP * max(1.0, np.abs(G.data).max(initial=0.0)):  # NaN fails too
+            raise ValidationError(
+                f"generator does not preserve Hermiticity: it differs from its conjugate by {resid:.3e}"
+            )
+        rows = np.repeat(np.arange(G.shape[0]), np.diff(G.indptr))
+        cols = G.indices
+        z = self.w_row[rows] * G.data
+        data = np.stack(((z * self.t_self[cols]).real, (z * self.t_pair[cols]).real), axis=1)
+        indices = np.stack((cols, self.s[cols].astype(cols.dtype)), axis=1)
+        R = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), 2 * G.indptr), shape=G.shape)
+        R.sum_duplicates()
+        R.eliminate_zeros()
+        return R
+
+    def rhs(self, gen: Superoperator) -> Callable[[float, np.ndarray], np.ndarray]:
+        """The real right-hand side of ``gen``.  A term with coefficient c
+        and its partner with c.conj() become Re c R+ + Im c R-; a
+        self-conjugate coefficient (|xi|^2) is one term.  A term without a
+        partner does not preserve Hermiticity and is refused."""
+        static = self.real_matrix(gen.static)
+        by_coeff = dict(gen.terms)
+        terms, partners = [], set()
+        for c, m in gen.terms:
+            cc = c.conj()
+            if c in partners:
+                continue
+            if cc == c:
+                terms.append((c, self.real_matrix(m), None))
+            elif cc not in by_coeff:
+                raise ValidationError(
+                    "generator does not preserve Hermiticity: a time-dependent term has no "
+                    "conjugate partner"
+                )
+            else:
+                partners.add(cc)
+                mc = by_coeff[cc]
+                terms.append((c, self.real_matrix(m + mc), self.real_matrix(1j * (m - mc))))
+        if not terms:
+            return lambda t, x: static @ x
+
+        def rhs(t, x):
+            out = static @ x
+            for c, re, im in terms:
+                z = complex(c(t))
+                if z.real:
+                    out += z.real * (re @ x)
+                if z.imag and im is not None:
+                    out += z.imag * (im @ x)
+            return out
+
+        return rhs
 
 
 def _sandwich(space: LabeledSpace, A: Operator, B: Operator) -> Superoperator:
@@ -444,15 +577,17 @@ def output_relations(g: SLHTriple) -> OutputRelations:
 
 @dataclass
 class FockHierarchyState:
-    """Generalized state matrices rho_{m,n} of a Fock-driven run, packed
-    as the row-major vec of each block in (m, n) order.
+    """Generalized state matrices rho_{m,n} of a Fock-driven run: ``x``
+    holds the real coordinates (``_RealCoordinates``) of the row-major vec
+    of each block in (m, n) order, and ``block`` rebuilds one block on
+    demand.
 
-    A 2-D ``y`` stacks one packed state per sample (``time`` then holds the
+    A 2-D ``x`` stacks one state per sample (``time`` then holds the
     sample times): ``expect`` and ``FockHierarchy.mean_photon_flux`` then
     answer for every sample at once, and indexing gives one sample's state.
     """
 
-    y: np.ndarray
+    x: np.ndarray
     space: LabeledSpace
     coefficients: np.ndarray
     envelope: Envelope
@@ -463,16 +598,17 @@ class FockHierarchyState:
         return self.coefficients.shape[0] - 1
 
     def __len__(self) -> int:
-        return len(self.y)
+        return len(self.x)
 
     def __getitem__(self, k) -> "FockHierarchyState":
-        return FockHierarchyState(self.y[k], self.space, self.coefficients, self.envelope, self.time[k])
+        return FockHierarchyState(self.x[k], self.space, self.coefficients, self.envelope, self.time[k])
 
     def block(self, m: int, n: int) -> np.ndarray:
         """vec(rho_{m,n}), one row per sample for a stacked state."""
         d2 = self.space.total_dim ** 2
         k = m * (self.n_max + 1) + n
-        return self.y[..., k * d2 : (k + 1) * d2]
+        coords = _RealCoordinates(self.space.total_dim, self.n_max + 1)
+        return coords.to_complex(self.x, slice(k * d2, (k + 1) * d2))
 
     @property
     def blocks(self) -> dict:
@@ -499,13 +635,12 @@ class FockHierarchyState:
         return self.block(m, n).conj() @ x
 
     def expect(self, X: Operator):
-        """E[X] = sum_{m,n} c*_{m,n} tr(rho_{m,n}^dag X)."""
-        x = vectorize(X.embed(self.space))
-        return sum(
-            np.conj(c) * self.trace_with(m, n, x)
-            for (m, n), c in np.ndenumerate(self.coefficients)
-            if c != 0
-        )
+        """E[X] = sum_{m,n} c*_{m,n} tr(rho_{m,n}^dag X) = conj(y . u) with
+        u_{m,n} = c_{m,n} conj(vec X), folded into the coordinates as in
+        ``DensityTrajectory.expect``."""
+        u = np.multiply.outer(self.coefficients, vectorize(X.embed(self.space)).conj())
+        w = _RealCoordinates(self.space.total_dim, self.n_max + 1).fold(u.reshape(-1))
+        return self.x @ w.real - 1j * (self.x @ w.imag)
 
 
 class FockHierarchy(Superoperator):
@@ -565,15 +700,16 @@ class FockHierarchy(Superoperator):
     # -- state handling ------------------------------------------------------
 
     def initial_state(self, rho_sys: Operator) -> FockHierarchyState:
-        """Diagonal blocks start in the system state, off-diagonal at zero."""
+        """Diagonal blocks start in the system state, off-diagonal at zero;
+        a non-Hermitian system state is refused."""
         nb = self.n_max + 1
         y = np.zeros((nb, nb, self.space.total_dim ** 2), dtype=np.complex128)
         y[range(nb), range(nb)] = vectorize(rho_sys.embed(self.space))
-        return self.unpack(y.reshape(-1), 0.0)
+        return self.unpack(_RealCoordinates(self.space.total_dim, nb).to_real(y.reshape(-1)), 0.0)
 
-    def unpack(self, y: np.ndarray, t=0.0) -> FockHierarchyState:
-        """State from packed blocks; a 2-D ``y`` with sample times ``t`` stacks samples."""
-        return FockHierarchyState(y, self.space, self.c, self.envelope, t)
+    def unpack(self, x: np.ndarray, t=0.0) -> FockHierarchyState:
+        """State from real coordinates; a 2-D ``x`` with sample times ``t`` stacks samples."""
+        return FockHierarchyState(x, self.space, self.c, self.envelope, t)
 
     # -- derived quantities ----------------------------------------------------
 
@@ -611,7 +747,7 @@ def fock_hierarchy(g: SLHTriple, envelope: Envelope, field_coeffs, driven_port: 
 @dataclass
 class Trajectory:
     times: np.ndarray
-    states: np.ndarray  # (n_samples, dim) complex
+    states: np.ndarray  # (n_samples, dim), of y0's dtype: real coordinates or complex
 
 
 def integrate(
@@ -636,6 +772,11 @@ def integrate(
     classic RK4 with step ``dt`` (or close to it, adjusted per segment)
     and is bitwise reproducible.  ``t_eval`` must be non-decreasing and
     lie within ``t_span``; ``t0`` is prepended when it is missing.
+
+    The samples take ``y0``'s dtype (at least float64): ``evolve_density``
+    and ``evolve_hierarchy`` pass real coordinates and a real right-hand
+    side, so ``atol``/``rtol`` act per real coordinate; a complex ``y0``
+    integrates as a complex vector.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -647,7 +788,7 @@ def integrate(
         raise ValidationError(f"t_eval must be non-decreasing and lie within [{t0}, {t1}]")
     if not t_eval.size or t_eval[0] != t0:
         t_eval = np.concatenate(([t0], t_eval))
-    states = np.empty((t_eval.size, np.size(y0)), dtype=np.complex128)
+    states = np.empty((t_eval.size, np.size(y0)), dtype=np.result_type(y0, np.float64))
     states[0] = np.ravel(y0)
     if guard is not None:
         guard(t0, states[0])
@@ -693,7 +834,8 @@ def integrate(
 
 @dataclass
 class DensityTrajectory:
-    """Sampled density matrices: row k of ``array`` is vec(rho) at ``times[k]``."""
+    """Sampled density matrices: row k of ``array`` holds the real
+    coordinates (``_RealCoordinates``) of vec(rho) at ``times[k]``."""
 
     times: np.ndarray
     space: LabeledSpace
@@ -702,11 +844,17 @@ class DensityTrajectory:
 
     @cached_property
     def states(self) -> list[Operator]:
-        return [unvectorize(y, self.space) for y in self.array]
+        """The density matrices, rebuilt from the coordinates on first use."""
+        ys = _RealCoordinates(self.space.total_dim).to_complex(self.array)
+        return [unvectorize(y, self.space) for y in ys]
 
     def expect(self, op: Operator) -> np.ndarray:
-        """tr(X rho) at every sample, as vec(rho) . vec(X^T) row by row."""
-        return self.array @ vectorize(op.embed(self.space).constant().T.toarray())
+        """tr(X rho) = vec(rho) . vec(X^T) at every sample, with vec(X^T)
+        folded into the coordinates: two real matrix-vector products, and
+        an imaginary part of exactly zero for a Hermitian X."""
+        x = vectorize(op.embed(self.space).constant().T.toarray())
+        w = _RealCoordinates(self.space.total_dim).fold(x)
+        return self.array @ w.real + 1j * (self.array @ w.imag)
 
 
 def _check_truncation(space: LabeledSpace, diag: np.ndarray, limit: float | None, where: str) -> None:
@@ -730,21 +878,23 @@ def _require_guard_value(limit: float | None) -> None:
 
 
 def _density_guard(space: LabeledSpace, truncation_guard: float | None):
+    """Trace, positivity and truncation checks on the real coordinates of rho."""
     _require_guard_value(truncation_guard)
     d = space.total_dim
+    coords = _RealCoordinates(d)
 
-    def guard(t, y):
-        rho = y.reshape(d, d)
-        tr = np.trace(rho)
+    def guard(t, x):
+        diag = x[:: d + 1]
+        tr = diag.sum()
         if not abs(tr - 1.0) <= TOL_TRACE:  # NaN fails too
             raise TraceDriftError(
                 f"trace drifted to {tr:.12g} at t = {t:.6g} (|tr - 1| > {TOL_TRACE}); "
                 "not renormalizing, check tolerances or the generator"
             )
-        w = _negative_eigenvalue(rho)
+        w = _negative_eigenvalue(coords.lower(x))
         if w is not None:
             raise TraceDriftError(f"rho developed negative eigenvalue {w:.3e} at t = {t:.6g}")
-        _check_truncation(space, rho.diagonal(), truncation_guard, f"at t = {t:.6g}")
+        _check_truncation(space, diag, truncation_guard, f"at t = {t:.6g}")
 
     return guard
 
@@ -768,14 +918,17 @@ def evolve_density(
     dt: float | None = None,
     truncation_guard: float | None = TRUNC_GUARD,
 ) -> DensityTrajectory:
-    """Integrate a master equation; never silently renormalizes."""
+    """Integrate a master equation on the real coordinates of rho; never
+    silently renormalizes.  A generator that does not preserve Hermiticity
+    and a non-Hermitian ``rho0`` are refused before the first step."""
     _require_density_generator(generator, "evolve_density")
     if isinstance(rho0, DensityState):
         rho0 = rho0.rho
     rho0 = rho0.embed(generator.space)
     guard = _density_guard(generator.space, truncation_guard)
+    coords = _RealCoordinates(generator.dim)
     traj = integrate(
-        generator.rhs(), vectorize(rho0), t_span, t_eval, method=method,
+        coords.rhs(generator), coords.to_real(vectorize(rho0)), t_span, t_eval, method=method,
         atol=atol, rtol=rtol, dt=dt, guard=guard,
     )
     out = DensityTrajectory(traj.times, generator.space, traj.states)
@@ -795,20 +948,21 @@ def evolve_hierarchy(
     dt: float | None = None,
     truncation_guard: float | None = TRUNC_GUARD,
 ) -> tuple[np.ndarray, FockHierarchyState]:
-    """Integrate the Fock hierarchy from the standard initial condition;
-    the states come back stacked, one sample per index."""
+    """Integrate the Fock hierarchy from the standard initial condition on
+    the real coordinates of its blocks, as ``evolve_density`` does for one
+    block; the states come back stacked, one sample per index."""
     _require_guard_value(truncation_guard)
     state0 = hier.initial_state(rho_sys)
     d = hier.space.total_dim
     nb = hier.n_max + 1
 
-    def guard(t, y):
+    def guard(t, x):
         for m in range(nb):
-            diag = y[(m * nb + m) * d * d : (m * nb + m + 1) * d * d : d + 1]
+            diag = x[(m * nb + m) * d * d : (m * nb + m + 1) * d * d : d + 1]
             _check_truncation(hier.space, diag, truncation_guard, f"in block ({m},{m}) at t = {t:.6g}")
 
     traj = integrate(
-        hier.rhs(), state0.y, t_span, t_eval, method=method,
+        _RealCoordinates(d, nb).rhs(hier), state0.x, t_span, t_eval, method=method,
         atol=atol, rtol=rtol, dt=dt, guard=guard,
     )
     return traj.times, hier.unpack(traj.states, traj.times)

@@ -610,11 +610,6 @@ def _top_populations(diag: np.ndarray, space: LabeledSpace) -> dict[str, float]:
     }
 
 
-def top_level_populations(rho: Operator) -> dict[str, float]:
-    """Population of the highest Fock level of each oscillator factor."""
-    return _top_populations(rho.constant().diagonal(), rho.space)
-
-
 def trace(op: Operator, t: float | None = None) -> complex:
     m = op.static if (t is None and op.is_static) else op.at(t or 0.0)
     return complex(m.diagonal().sum())

@@ -1,13 +1,28 @@
 import numpy as np
 import pytest
 
-from slhnet import SLHTriple
+from slhnet import SLHTriple, dynamics
 from slhnet.hilbert import Operator, destroy
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def rhs_calls(monkeypatch):
+    """Sample times of every call of the right-hand sides that
+    ``dynamics.integrate`` is handed, so a test can show a refusal came
+    before the first step."""
+    calls = []
+    inner = dynamics.integrate
+
+    def counting(rhs, *args, **kwargs):
+        return inner(lambda t, y: calls.append(t) or rhs(t, y), *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate", counting)
+    return calls
 
 
 def random_hermitian(rng, space, scale=1.0):

@@ -18,6 +18,7 @@ from slhnet.dynamics import (
     DensityTrajectory,
     GaussianEnv,
     Superoperator,
+    _RealCoordinates,
     _sandwich,
     evolve_density,
     evolve_hierarchy,
@@ -478,22 +479,15 @@ class TestIntegrator:
         assert "in block (2,2)" in str(err.value)
 
     @pytest.mark.parametrize("limit", [float("nan"), -1.0, -1e-12])
-    def test_truncation_guard_value_checked_before_integrating(self, limit):
+    def test_truncation_guard_value_checked_before_integrating(self, limit, rhs_calls):
         cav = one_sided_cavity(0.05, 0.0, truncation=3, label="tiny")
         rho0 = fock_density(cav.space, {"tiny": 0})
-        calls = []
-
-        class Counting(Superoperator):
-            def rhs(self):
-                return lambda t, y: calls.append(t) or self.apply(y, t)
-
-        gen = liouvillian_coherent(cav, 2.0)
         with pytest.raises(ValidationError, match="truncation guard must be a number >= 0"):
-            evolve_density(Counting(gen.space, gen.static), rho0, (0, 8.0), truncation_guard=limit)
+            evolve_density(liouvillian_coherent(cav, 2.0), rho0, (0, 8.0), truncation_guard=limit)
         hier = fock_hierarchy(cav, GaussianPulse(t0=3.0, sigma=1.0), 1)
         with pytest.raises(ValidationError, match="truncation guard must be a number >= 0"):
             evolve_hierarchy(hier, rho0, (0, 6.0), truncation_guard=limit)
-        assert calls == []
+        assert rhs_calls == []
 
     def test_bad_span(self):
         space = LabeledSpace([("c", 2)])
@@ -589,7 +583,8 @@ class TestStackedExpectations:
             m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
             rho = m @ m.conj().T
             rhos.append(rho / np.trace(rho))
-        traj = DensityTrajectory(np.arange(7.0), space, np.array([r.reshape(-1) for r in rhos]))
+        coords = _RealCoordinates(space.total_dim)
+        traj = DensityTrajectory(np.arange(7.0), space, np.array([coords.to_real(r.reshape(-1)) for r in rhos]))
         X = Operator(space, rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
         per_sample = [np.trace(X.constant().toarray() @ r) for r in rhos]
         assert np.abs(traj.expect(X) - per_sample).max() < 1e-13
