@@ -25,6 +25,7 @@ from .dynamics import (
     GaussianEnv,
     DEFAULT_ATOL,
     DEFAULT_RTOL,
+    FockHierarchy,
     evolve_density,
     evolve_hierarchy,
     fock_hierarchy,
@@ -263,13 +264,13 @@ def cmd_compose(args) -> int:
 
 
 def _build_generator(res, drives):
-    """Returns ('density', generator) or ('fock', hierarchy)."""
+    """The master-equation generator, or the Fock hierarchy for a fock drive."""
     g = res.triple
     nonvac = {k: v for k, v in drives.items() if v[0] != "vacuum"}
     if len(nonvac) > 1:
         raise SLHNetError("only one non-vacuum drive port is supported")
     if not nonvac:
-        return "density", liouvillian(g)
+        return liouvillian(g)
     label, (kind, kwargs) = next(iter(nonvac.items()))
     if label not in res.input_labels:
         raise SLHNetError(f"drive port {label!r} is not an exposed input ({res.input_labels})")
@@ -278,42 +279,32 @@ def _build_generator(res, drives):
         alpha = kwargs.get("alpha", 1.0)
         if "envelope" in kwargs:
             alpha = ScaledEnvelope(alpha, kwargs["envelope"])
-        return "density", liouvillian_coherent(g, alpha, port=port)
+        return liouvillian_coherent(g, alpha, port=port)
     if kind == "gaussian":
         env = GaussianEnv(N=kwargs.get("N", 0.0), M=kwargs.get("M", 0.0), alpha=kwargs.get("alpha"))
-        return "density", liouvillian_gaussian(g, env)
+        return liouvillian_gaussian(g, env)
     if kind == "fock":
         if "envelope" not in kwargs:
             raise SLHNetError("fock drives need an envelope(...)")
-        return "fock", fock_hierarchy(g, kwargs["envelope"], kwargs.get("n", 1), driven_port=port)
+        return fock_hierarchy(g, kwargs["envelope"], kwargs.get("n", 1), driven_port=port)
     raise SLHNetError(f"unknown drive kind {kind!r}")
 
 
 def _run_simulation(res, args, drives, observables):
     t_eval = np.linspace(args.t0, args.t1, _count(args.samples, "--samples"))
-    mode, gen = _build_generator(res, drives)
+    gen = _build_generator(res, drives)
     obs_ops = _resolve_observables(observables, res.triple.space)
-    limit = None if args.no_guard else args.trunc_guard
-    columns: dict[str, list] = {}
-    if mode == "density":
-        traj = evolve_density(
-            gen, res.initial_state, (args.t0, args.t1), t_eval,
-            observables=obs_ops, method=args.method, dt=args.dt,
-            atol=args.atol, rtol=args.rtol,
-            truncation_guard=limit,
-        )
-        for name in observables:
-            columns[name] = list(traj.expectations[name])
-        times = traj.times
+    run = dict(method=args.method, dt=args.dt, atol=args.atol, rtol=args.rtol,
+               truncation_guard=None if args.no_guard else args.trunc_guard)
+    fock = isinstance(gen, FockHierarchy)
+    if fock:
+        times, traj = evolve_hierarchy(gen, res.initial_state, (args.t0, args.t1), t_eval, **run)
     else:
-        times, states = evolve_hierarchy(
-            gen, res.initial_state, (args.t0, args.t1), t_eval,
-            method=args.method, dt=args.dt, atol=args.atol, rtol=args.rtol,
-            truncation_guard=limit,
-        )
-        for name, op in obs_ops.items():
-            columns[name] = list(states.expect(op))
-        columns["flux"] = list(gen.mean_photon_flux(states, times))
+        traj = evolve_density(gen, res.initial_state, (args.t0, args.t1), t_eval, **run)
+        times = traj.times
+    columns = {name: list(traj.expect(op)) for name, op in obs_ops.items()}
+    if fock:
+        columns["flux"] = list(gen.mean_photon_flux(traj, times))
     return times, columns
 
 
@@ -371,8 +362,8 @@ def cmd_simulate(args) -> int:
 def cmd_steady_state(args) -> int:
     res = _compose(args.file)
     drives, observables = _drives_and_observables(args, res.triple.space)
-    mode, gen = _build_generator(res, drives)
-    if mode != "density":
+    gen = _build_generator(res, drives)
+    if isinstance(gen, FockHierarchy):
         raise SLHNetError("steady-state supports vacuum, coherent and gaussian drives only")
     ss = steady_state(gen)
     lines = [

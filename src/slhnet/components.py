@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import inspect
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -41,19 +40,6 @@ DEFAULT_TRUNC = 8
 
 #: tolerance for scattering-coefficient constraints (|t|^2+|r|^2+|b|^2 = 1 ...)
 COEFF_TOL = 1e-10
-
-
-@dataclass
-class ComponentSpec:
-    """A component kind plus its parameters, ready to instantiate."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-    truncation: int = DEFAULT_TRUNC
-    label: str = "m"
-
-    def build(self) -> SLHTriple:
-        return instantiate(self.kind, label=self.label, truncation=self.truncation, **self.params)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -650,12 +636,6 @@ KIND_SCHEMAS: dict[str, dict] = {
 
 def kinds() -> tuple[str, ...]:
     return tuple(sorted(_BUILDERS))
-
-
-def kind_schemas_json() -> str:
-    import json
-
-    return json.dumps(KIND_SCHEMAS, indent=2, sort_keys=True)
 
 
 def instantiate(kind: str, label: str | None = None, truncation: int | None = None, **params) -> SLHTriple:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
@@ -391,6 +391,30 @@ class _RealCoordinates:
         return rhs
 
 
+def _expect(op: Operator, space: LabeledSpace, x: np.ndarray, times, coords: _RealCoordinates, weights=None):
+    """E[op] of the states whose real coordinates are ``x`` (one row per
+    sample), taken at ``times``.
+
+    The static part of ``op`` and each of its envelope terms A is folded
+    into the coordinates, ``w = fold(vec(A^T))`` with tr(A rho) = x . w (two
+    real matrix-vector products, and an imaginary part of exactly zero for
+    a Hermitian A), and each term is scaled by its coefficient read at the
+    sample times.  For block-stacked states ``weights(coeff)`` (``None``
+    for the static part) gives each block's weight, ``kron(weights, vec(A^T))``.
+    """
+    def folded(m, coeff=None):
+        u = vectorize(m.T.toarray())
+        w = coords.fold(u if weights is None else np.kron(weights(coeff), u))
+        return x @ w.real + 1j * (x @ w.imag)
+
+    op = op.embed(space)
+    out = folded(op.static)
+    for coeff, m in op.terms:
+        z = coeff(times) if np.ndim(times) == 0 else np.array([coeff(t) for t in times])
+        out = out + z * folded(m, coeff)
+    return out
+
+
 def _sandwich(space: LabeledSpace, A: Operator, B: Operator) -> Superoperator:
     """Superoperator of rho -> A rho B, distributing over envelope terms."""
     A = A.embed(space)
@@ -575,6 +599,22 @@ def output_relations(g: SLHTriple) -> OutputRelations:
 # Fock-state hierarchy
 
 
+def _ladders(envelope: Envelope, nb: int) -> dict:
+    """The block-index lowering of each coefficient of a wavepacket drive
+    xi(t) on nb x nb blocks, block (m, n) at index m nb + n: xi lowers m,
+    xi* lowers n and |xi|^2 both, as the dense (nb^2, nb^2) matrix
+    sqrt(m^dm n^dn) |(m, n)><(m - dm, n - dn)|.  The hierarchy's generator
+    terms and its expectations read the same matrices."""
+    m, n = np.divmod(np.arange(nb * nb), nb)
+    xi = Coefficient([(envelope, False)])
+    out = {}
+    for coeff, (dm, dn) in ((xi, (1, 0)), (xi.conj(), (0, 1)), (xi * xi.conj(), (1, 1))):
+        k = np.flatnonzero((m >= dm) & (n >= dn))
+        out[coeff] = np.zeros((nb * nb, nb * nb))
+        out[coeff][k, k - dm * nb - dn] = np.sqrt(m[k] ** dm * n[k] ** dn)
+    return out
+
+
 @dataclass
 class FockHierarchyState:
     """Generalized state matrices rho_{m,n} of a Fock-driven run: ``x``
@@ -583,8 +623,8 @@ class FockHierarchyState:
     demand.
 
     A 2-D ``x`` stacks one state per sample (``time`` then holds the
-    sample times): ``expect`` and ``FockHierarchy.mean_photon_flux`` then
-    answer for every sample at once, and indexing gives one sample's state.
+    sample times): ``expect`` then answers for every sample at once, and
+    indexing gives one sample's state.
     """
 
     x: np.ndarray
@@ -615,32 +655,29 @@ class FockHierarchyState:
         nb = self.n_max + 1
         return {(m, n): unvectorize(self.block(m, n), self.space) for m in range(nb) for n in range(nb)}
 
-    def physical_state(self) -> Operator:
-        """sum c*_{m,n} rho_{m,n}^dag, the state all expectations trace against."""
-        acc = None
-        for (m, n), block in self.blocks.items():
-            c = self.coefficients[m, n]
-            if c == 0:
-                continue
-            term = np.conj(c) * block.dag()
-            acc = term if acc is None else acc + term
-        return acc
-
     def hermiticity_residual(self) -> float:
         blocks = self.blocks
         return max((block - blocks[(n, m)].dag()).max_abs() for (m, n), block in blocks.items())
 
-    def trace_with(self, m: int, n: int, x: np.ndarray):
-        """tr(rho_{m,n}^dag X) = conj(vec rho_{m,n}) . vec X for ``x = vec X``."""
-        return self.block(m, n).conj() @ x
-
     def expect(self, X: Operator):
-        """E[X] = sum_{m,n} c*_{m,n} tr(rho_{m,n}^dag X) = conj(y . u) with
-        u_{m,n} = c_{m,n} conj(vec X), folded into the coordinates as in
-        ``DensityTrajectory.expect``."""
-        u = np.multiply.outer(self.coefficients, vectorize(X.embed(self.space)).conj())
-        w = _RealCoordinates(self.space.total_dim, self.n_max + 1).fold(u.reshape(-1))
-        return self.x @ w.real - 1j * (self.x @ w.imag)
+        """E[X] = sum_{m,n} c*_{m,n} tr(rho_{m,n}^dag X) = sum_{m,n} c*_{n,m}
+        tr(X rho_{m,n}) at ``time``.  A term of X with coefficient xi, xi* or
+        |xi|^2 (the wavepacket's, as in a driven triple's L^L) reads the
+        blocks that its ladder lowers: weights ``ladder^T vec(c^dag)``."""
+        nb = self.n_max + 1
+        c = self.coefficients.conj().T.reshape(-1)
+        ladders = _ladders(self.envelope, nb)
+
+        def weights(coeff):
+            if coeff is None:
+                return c
+            if coeff not in ladders:
+                raise UnsupportedConfigurationError(
+                    "a hierarchy expectation takes only the wavepacket's own time dependence"
+                )
+            return ladders[coeff].T @ c
+
+        return _expect(X, self.space, self.x, self.time, _RealCoordinates(self.space.total_dim, nb), weights)
 
 
 class FockHierarchy(Superoperator):
@@ -649,15 +686,19 @@ class FockHierarchy(Superoperator):
     ``field_coeffs`` is either an integer N (pure N-photon input) or the
     (N+1)x(N+1) coefficient matrix c_{m,n} of the field state in the
     wavepacket Fock basis.  The hierarchy is a :class:`Superoperator` over
-    the (N+1)^2 stacked blocks rho_{m,n}; it couples block (m, n) downward
-    to (m-1, n), (m, n-1) and (m-1, n-1) only.
+    the (N+1)^2 stacked blocks rho_{m,n}: the generator of the triple
+    driven by the wavepacket xi(t) (``_driven``), its xi, xi* and |xi|^2
+    terms lowered by ``_ladders``, so block (m, n) couples downward to
+    (m-1, n), (m, n-1) and (m-1, n-1) only.
     """
 
     def __init__(self, g: SLHTriple, envelope: Envelope, field_coeffs, driven_port: int = 1):
         envelope.check_normalized()
         if not g.is_static():
             raise UnsupportedConfigurationError("the Fock hierarchy needs a static triple")
-        driven = liouvillian_coherent(g, envelope, driven_port)
+        self._driven = _driven(g, envelope, driven_port)
+        self._output_rate = sum((L.dag() * L for L in self._driven.L), zero(g.space))
+        driven = liouvillian(self._driven)
         if np.ndim(field_coeffs) == 0:
             if not (field_coeffs >= 0 and float(field_coeffs).is_integer()):
                 raise ValidationError(f"photon number must be an integer n >= 0, got {field_coeffs!r}")
@@ -674,28 +715,10 @@ class FockHierarchy(Superoperator):
         self.c = c
         self.n_max = c.shape[0] - 1
         nb = self.n_max + 1
-
-        def ladder(dm, dn):
-            """sqrt(m^dm n^dn) |(m, n)><(m - dm, n - dn)| on the block index."""
-            mn = [(m, n) for m in range(dm, nb) for n in range(dn, nb)]
-            return sp.csr_matrix(
-                ([math.sqrt(m**dm * n**dn) for m, n in mn],
-                 ([m * nb + n for m, n in mn], [(m - dm) * nb + n - dn for m, n in mn])),
-                shape=(nb * nb, nb * nb),
-            )
-
-        # the driven generator's xi, xi* and |xi|^2 terms lower m, n and both:
-        # sqrt(m) xi [S rho, L^], sqrt(n) xi* [L, rho S^], sqrt(mn) |xi|^2 gauge
-        xi = Coefficient([(envelope, False)])
-        shift = {xi: (1, 0), xi.conj(): (0, 1), xi * xi.conj(): (1, 1)}
-        terms = () if nb == 1 else tuple(
-            (coeff, sp.kron(ladder(*shift[coeff]), m, format="csr")) for coeff, m in driven.terms
-        )
+        ladders = _ladders(envelope, nb)
+        terms = tuple((coeff, sp.kron(ladders[coeff], m, format="csr")) for coeff, m in driven.terms)
         static = sp.kron(sp.identity(nb * nb, format="csr"), driven.static, format="csr")
         super().__init__(g.space, static, terms)
-        # flux ingredients: vec of sum_i L_i^ L_i, sum_i S_ij^ L_i, sum_i L_i^ S_ij
-        per_port = [(L.dag() * L, S.dag() * L, L.dag() * S) for L, S in zip(g.L, g.S[:, driven_port - 1])]
-        self._flux = [sum(vectorize(op.embed(self.space)) for op in ops) for ops in zip(*per_port)]
 
     # -- state handling ------------------------------------------------------
 
@@ -714,25 +737,10 @@ class FockHierarchy(Superoperator):
     # -- derived quantities ----------------------------------------------------
 
     def mean_photon_flux(self, state: FockHierarchyState, t):
-        """d E[Lambda_out]/dt combined over all blocks with the field
-        coefficients; real up to numerical noise for physical states.
-        For a stacked state ``t`` holds the sample times and the result is
-        one flux per sample."""
-        xi = self.envelope(t) if np.ndim(t) == 0 else np.array([self.envelope(s) for s in t])
-        LdL, SdL, LdS = self._flux
-        total = 0.0 + 0.0j
-        for (m, n), c in np.ndenumerate(self.c):
-            if c == 0:
-                continue
-            val = state.trace_with(m, n, LdL)
-            if m > 0:
-                val = val + math.sqrt(m) * np.conj(xi) * state.trace_with(m - 1, n, SdL)
-            if n > 0:
-                val = val + math.sqrt(n) * xi * state.trace_with(m, n - 1, LdS)
-            if m > 0 and n > 0:
-                val = val + math.sqrt(m * n) * abs(xi) ** 2
-            total = total + np.conj(c) * val
-        flux = np.real(total)
+        """d E[Lambda_out]/dt = Re E[sum_i L_i^ L_i] of the driven triple at
+        ``t``; for a stacked state ``t`` holds the sample times and the
+        result is one flux per sample."""
+        flux = np.real(replace(state, time=t).expect(self._output_rate))
         return float(flux) if np.ndim(flux) == 0 else flux
 
 
@@ -849,12 +857,9 @@ class DensityTrajectory:
         return [unvectorize(y, self.space) for y in ys]
 
     def expect(self, op: Operator) -> np.ndarray:
-        """tr(X rho) = vec(rho) . vec(X^T) at every sample, with vec(X^T)
-        folded into the coordinates: two real matrix-vector products, and
-        an imaginary part of exactly zero for a Hermitian X."""
-        x = vectorize(op.embed(self.space).constant().T.toarray())
-        w = _RealCoordinates(self.space.total_dim).fold(x)
-        return self.array @ w.real + 1j * (self.array @ w.imag)
+        """tr(X(t) rho(t)) at every sample; X may carry envelope terms, such
+        as the L_out^ L_out of a wired pulsed source."""
+        return _expect(op, self.space, self.array, self.times, _RealCoordinates(self.space.total_dim))
 
 
 def _check_truncation(space: LabeledSpace, diag: np.ndarray, limit: float | None, where: str) -> None:

@@ -609,11 +609,6 @@ def _atom_vector(spec, dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)[level]
 
 
-def parse_file(path: str) -> NetworkDescription:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
-
-
 def ast_to_dict(nd: NetworkDescription) -> dict:
     """JSON-ready dump of the AST (for --emit ast)."""
 

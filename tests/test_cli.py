@@ -277,6 +277,17 @@ class TestOtherCommands:
         want = -np.sqrt(2.0) * 0.25 / (1.0 + 0.3j)
         assert abs(complex(re_a, im_a) - want) < 1e-8
 
+    def test_steady_state_refuses_a_fock_drive(self, capsys):
+        code, out, err = run_cli(
+            [
+                "steady-state", NETWORKS / "driven_cavity.qnet",
+                "--drive", "drive=fock(n=1, envelope=gaussian(t0=5.0, sigma=1.0))",
+            ],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: steady-state supports vacuum, coherent and gaussian drives only\n"
+
     def test_transfer_function_grid(self, capsys):
         code, out, _ = run_cli(
             ["transfer-function", NETWORKS / "opo_feedback.qnet", "--wmin", "-1", "--wmax", "1", "--n", "5"],

@@ -18,7 +18,6 @@ from slhnet.components import (
     fock_source,
     instantiate,
     jaynes_cummings,
-    kind_schemas_json,
     kinds,
     one_sided_cavity,
     squeezed_source,
@@ -62,7 +61,10 @@ VALID_PARAMS = {
 
 
 def test_every_kind_has_valid_params_entry():
+    from slhnet.components import KIND_SCHEMAS
+
     assert set(VALID_PARAMS) == set(kinds())
+    assert set(KIND_SCHEMAS) == set(kinds())
 
 
 @pytest.mark.parametrize("kind", sorted(VALID_PARAMS))
@@ -305,22 +307,6 @@ def test_dispersion_cavity_parameters():
     assert abs(g.metadata["gamma_d"] - np.sqrt(12.0) * delta_d) < 1e-12
     assert abs(g.metadata["omega_d"] - (omega_c - delta_d)) < 1e-12
     assert abs(g.S[0, 0].constant().toarray()[0, 0] - np.exp(0.25j)) < 1e-12
-
-
-def test_schema_export_is_json():
-    import json
-
-    schemas = json.loads(kind_schemas_json())
-    assert set(schemas) == set(kinds())
-    assert schemas["one_sided_cavity"]["ports"] == 1
-
-
-def test_component_spec_builder():
-    from slhnet.components import ComponentSpec
-
-    spec = ComponentSpec("one_sided_cavity", {"gamma": 2.0, "delta": 0.5}, truncation=6, label="m")
-    g = spec.build()
-    assert triples_close(g, one_sided_cavity(2.0, 0.5, truncation=6, label="m"))
 
 
 def test_trapped_tla_canonical_commutator():
