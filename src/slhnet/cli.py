@@ -26,6 +26,7 @@ from .dynamics import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     FockHierarchy,
+    _check_truncation,
     evolve_density,
     evolve_hierarchy,
     fock_hierarchy,
@@ -366,6 +367,7 @@ def cmd_steady_state(args) -> int:
     if isinstance(gen, FockHierarchy):
         raise SLHNetError("steady-state supports vacuum, coherent and gaussian drives only")
     ss = steady_state(gen)
+    _check_truncation(ss.rho.space, ss.rho.constant().diagonal().real, TRUNC_GUARD, "in the steady state")
     lines = [
         f"{name},{format_value(ss.expect(op))}"
         for name, op in _resolve_observables(observables, res.triple.space).items()

@@ -1,9 +1,9 @@
 """Parameterized SLH component factory.
 
-``instantiate(kind, **params)`` builds the triple for any supported
-component; ``KIND_SCHEMAS`` is the machine-readable parameter schema the
-network-description front end validates against.  Rates are angular
-(s^-1), detunings rad/s, reflectivities and phases dimensionless.
+``CATALOG`` maps each component kind to its builder and port count;
+``instantiate(kind, **params)`` builds the triple, and the parameter
+names are the builder's signature.  Rates are angular (s^-1), detunings
+rad/s, reflectivities and phases dimensionless.
 
 Mode labels: a single-mode component uses its ``label`` parameter as the
 factor label; multi-factor components append a role suffix, e.g.
@@ -569,73 +569,47 @@ def build_copropagating_pair(
 
 
 # --------------------------------------------------------------------------
-# registry and schema
+# catalog
 
-_BUILDERS: dict[str, Callable[..., SLHTriple]] = {
-    "phase_shifter": phase_shifter,
-    "beamsplitter": beamsplitter,
-    "loss_beamsplitter": loss_beamsplitter,
-    "one_sided_cavity": one_sided_cavity,
-    "kerr_cavity": kerr_cavity,
-    "fabry_perot": fabry_perot,
-    "cross_kerr_cavities": cross_kerr_cavities,
-    "degenerate_opo": degenerate_opo,
-    "two_mode_squeezer": two_mode_squeezer,
-    "optomechanics": optomechanics,
-    "optomechanics_linearized": optomechanics_linearized,
-    "tla_waveguide": tla_waveguide,
-    "trapped_tla": trapped_tla,
-    "rabi": rabi,
-    "jaynes_cummings": jaynes_cummings,
-    "tavis_cummings": tavis_cummings,
-    "circulator_ideal": circulator_ideal,
-    "circulator_nonideal": circulator_nonideal,
-    "circulator_finite_bw": circulator_finite_bw,
-    "coherent_source": coherent_source,
-    "coherent_source_cavity": coherent_source_cavity,
-    "fock_source": fock_source,
-    "squeezed_source": squeezed_source,
-    "dispersion_cavity": dispersion_cavity,
+#: kind -> (builder, port count); parameter names are the builder's signature
+CATALOG: dict[str, tuple[Callable[..., SLHTriple], int]] = {
+    "phase_shifter": (phase_shifter, 1),
+    "beamsplitter": (beamsplitter, 2),
+    "loss_beamsplitter": (loss_beamsplitter, 2),
+    "one_sided_cavity": (one_sided_cavity, 1),
+    "kerr_cavity": (kerr_cavity, 1),
+    "fabry_perot": (fabry_perot, 2),
+    "cross_kerr_cavities": (cross_kerr_cavities, 2),
+    "degenerate_opo": (degenerate_opo, 1),
+    "two_mode_squeezer": (two_mode_squeezer, 2),
+    "optomechanics": (optomechanics, 3),
+    "optomechanics_linearized": (optomechanics_linearized, 3),
+    "tla_waveguide": (tla_waveguide, 2),
+    "trapped_tla": (trapped_tla, 3),
+    "rabi": (rabi, 1),
+    "jaynes_cummings": (jaynes_cummings, 1),
+    "tavis_cummings": (tavis_cummings, 1),
+    "circulator_ideal": (circulator_ideal, 3),
+    "circulator_nonideal": (circulator_nonideal, 3),
+    "circulator_finite_bw": (circulator_finite_bw, 3),
+    "coherent_source": (coherent_source, 1),
+    "coherent_source_cavity": (coherent_source_cavity, 1),
+    "fock_source": (fock_source, 1),
+    "squeezed_source": (squeezed_source, 1),
+    "dispersion_cavity": (dispersion_cavity, 1),
 }
 
+
 def _kinds_without(param: str) -> frozenset[str]:
-    return frozenset(k for k, b in _BUILDERS.items() if param not in inspect.signature(b).parameters)
+    return frozenset(k for k, (b, _) in CATALOG.items() if param not in inspect.signature(b).parameters)
 
 
 _NO_TRUNCATION = _kinds_without("truncation")
 _NO_LABEL = _kinds_without("label")
 
-#: machine-readable parameter schema per kind, consumed by the DSL front end
-KIND_SCHEMAS: dict[str, dict] = {
-    "phase_shifter": {"params": {"phi": "float"}, "ports": 1},
-    "beamsplitter": {"params": {"theta": "float?", "eta": "float?", "convention": "choice(rotation,reflection)?"}, "ports": 2},
-    "loss_beamsplitter": {"params": {"loss": "float"}, "ports": 2},
-    "one_sided_cavity": {"params": {"gamma": "float", "delta": "float?"}, "ports": 1},
-    "kerr_cavity": {"params": {"gamma": "float", "delta": "float", "chi": "float"}, "ports": 1},
-    "fabry_perot": {"params": {"gamma1": "float", "gamma2": "float", "delta": "float?"}, "ports": 2},
-    "cross_kerr_cavities": {"params": {"gamma1": "float", "gamma2": "float", "delta1": "float", "delta2": "float", "chi": "float"}, "ports": 2},
-    "degenerate_opo": {"params": {"gamma": "float", "epsilon": "complex"}, "ports": 1},
-    "two_mode_squeezer": {"params": {"gamma1": "float", "gamma2": "float", "epsilon": "complex"}, "ports": 2},
-    "optomechanics": {"params": {"kappa": "float", "Gamma": "float", "nbar": "float", "g": "float", "delta_c": "float?", "delta_m": "float?"}, "ports": 3},
-    "optomechanics_linearized": {"params": {"kappa": "float", "Gamma": "float", "nbar": "float", "g": "float", "delta_c": "float?", "delta_m": "float?"}, "ports": 3},
-    "tla_waveguide": {"params": {"kappa_g": "float", "kappa_perp": "float?", "omega": "float?"}, "ports": 2},
-    "trapped_tla": {"params": {"kappa_r": "float", "kappa_l": "float", "kappa_perp": "float", "omega": "float", "k0": "float", "mass": "float", "nu": "float"}, "ports": 3},
-    "rabi": {"params": {"kappa": "float", "g": "float", "delta_c": "float?", "omega": "float?"}, "ports": 1},
-    "jaynes_cummings": {"params": {"kappa": "float", "g": "float", "delta_c": "float?", "omega": "float?"}, "ports": 1},
-    "tavis_cummings": {"params": {"kappa": "float", "g": "float", "n_atoms": "int", "delta_c": "float?", "omega": "float?"}, "ports": 1},
-    "circulator_ideal": {"params": {}, "ports": 3},
-    "circulator_nonideal": {"params": {"r": "complex", "b": "complex", "t": "complex"}, "ports": 3},
-    "circulator_finite_bw": {"params": {"gamma": "float", "t": "float?", "phi": "float?", "delta_cav": "float?"}, "ports": 3},
-    "coherent_source": {"params": {"alpha": "complex", "envelope": "envelope?"}, "ports": 1},
-    "coherent_source_cavity": {"params": {"alpha": "complex", "envelope": "envelope"}, "ports": 1},
-    "fock_source": {"params": {"n": "int", "envelope": "envelope"}, "ports": 1},
-    "squeezed_source": {"params": {"gamma": "float", "E": "complex"}, "ports": 1},
-    "dispersion_cavity": {"params": {"omega_c": "float", "alpha": "float", "length": "float", "v": "float", "phi": "float?"}, "ports": 1},
-}
-
 
 def kinds() -> tuple[str, ...]:
-    return tuple(sorted(_BUILDERS))
+    return tuple(sorted(CATALOG))
 
 
 def instantiate(kind: str, label: str | None = None, truncation: int | None = None, **params) -> SLHTriple:
@@ -644,9 +618,9 @@ def instantiate(kind: str, label: str | None = None, truncation: int | None = No
     Raises ``ValidationError`` naming the violated constraint for bad
     parameters and ``ValidationError`` for unknown kinds.
     """
-    builder = _BUILDERS.get(kind)
-    if builder is None:
+    if kind not in CATALOG:
         raise ValidationError(f"unknown component kind {kind!r}")
+    builder = CATALOG[kind][0]
     kwargs = dict(params)
     if truncation is not None and kind not in _NO_TRUNCATION:
         kwargs["truncation"] = int(truncation)

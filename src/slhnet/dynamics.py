@@ -655,10 +655,6 @@ class FockHierarchyState:
         nb = self.n_max + 1
         return {(m, n): unvectorize(self.block(m, n), self.space) for m in range(nb) for n in range(nb)}
 
-    def hermiticity_residual(self) -> float:
-        blocks = self.blocks
-        return max((block - blocks[(n, m)].dag()).max_abs() for (m, n), block in blocks.items())
-
     def expect(self, X: Operator):
         """E[X] = sum_{m,n} c*_{m,n} tr(rho_{m,n}^dag X) = sum_{m,n} c*_{n,m}
         tr(X rho_{m,n}) at ``time``.  A term of X with coefficient xi, xi* or
@@ -711,6 +707,12 @@ class FockHierarchy(Superoperator):
                 raise ValidationError("field_coeffs must be a square matrix")
             if abs(np.trace(c) - 1.0) > TOL_TRACE:
                 raise ValidationError(f"field coefficients must have unit trace, got {np.trace(c):.8g}")
+            herm = np.abs(c - c.conj().T).max()
+            if herm > TOL_OP:
+                raise ValidationError(f"field coefficients are not Hermitian: residual {herm:.3e}")
+            w = _negative_eigenvalue(c)
+            if w is not None:
+                raise ValidationError(f"field coefficients have negative eigenvalue {w:.3e}")
         self.envelope = envelope
         self.c = c
         self.n_max = c.shape[0] - 1

@@ -66,10 +66,6 @@ class LinearModel:
             C=_blockdiag(self.C, self.C.conj()), D=_blockdiag(self.D, self.D.conj()),
         )
 
-    def hurwitz_margin(self) -> float:
-        """Largest real part among the eigenvalues of A (stable if <= 0)."""
-        return float(np.max(np.linalg.eigvals(self.A).real))
-
 
 def _blockdiag(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.block([

@@ -365,12 +365,12 @@ def _validate(nd: NetworkDescription) -> None:
     for inst in nd.instances:
         if inst.name in names:
             raise ParseError(f"duplicate component name {inst.name!r}", *inst.pos)
-        if inst.kind not in catalog.KIND_SCHEMAS:
+        if inst.kind not in catalog.CATALOG:
             raise ParseError(f"unknown kind {inst.kind!r}", *inst.pos)
         names[inst.name] = inst
 
     def port_count(inst: ComponentDecl) -> int:
-        return catalog.KIND_SCHEMAS[inst.kind]["ports"]
+        return catalog.CATALOG[inst.kind][1]
 
     sources: set[tuple[str, int]] = set()
     sinks: set[tuple[str, int]] = set()

@@ -390,54 +390,70 @@ def permute_ports(g: SLHTriple, sigma: Sequence[int], which: str = "outputs", ch
 def _solve_loop(loop: sp.spmatrix, rhs: sp.spmatrix) -> sp.csr_matrix:
     """X = loop^-1 rhs with loop = I - S_xy, from one sparse LU of the loop.
 
-    A nonsingular loop is solved packed.  The connected components of
-    the loop's sparsity pattern are independent blocks of the system, so
-    right-hand-side columns that touch disjoint components share one
-    dense column of a single ``lu.solve`` (Curtis-Powell-Reid column
-    grouping): each column takes the colour one past the highest colour
-    any of its components has used, and its solution is read back from
-    the rows of its components.  No value mixes across components and
-    the factors never couple them, so the result equals
-    ``sp.csr_matrix(lu.solve(rhs.toarray()))`` bit for bit while the
-    dense block shrinks from one column per right-hand-side column to
-    one per colour: a loop of scalar x identity blocks packs its d
-    columns per block into a few, an operator-valued S (one component)
-    keeps one column each.
+    The connected components of the loop's sparsity pattern are
+    independent blocks of the system.  Only the components that hold a
+    nonzero right-hand-side entry are solved; the rows of every other
+    component are zero in X, exactly as a solve of the whole loop gives
+    them, so a detached loop costs no factorization however large or
+    singular it is (block-triangular decomposition, Duff & Reid 1978).
 
-    A singular loop operator is still acceptable when the circulating
-    channel carries nothing, i.e. the right-hand side is consistent; a
-    detached pass-through loop then simply drops out (minimal-norm
-    solution).  An inconsistent singular loop is genuinely ill posed
-    (energy would pile up in an undamped circulating mode) and raises.
+    A nonsingular restricted loop is solved packed (see
+    ``_packed_solve``).  A singular one is still acceptable when the
+    circulating channel carries nothing, i.e. the right-hand side is
+    consistent (minimal-norm solution).  An inconsistent singular loop is
+    genuinely ill posed (energy would pile up in an undamped circulating
+    mode) and raises.
     """
-    lu, smallest = _factor(loop)
-    if smallest >= LOOP_SINGULARITY_TOL:
-        return _packed_solve(lu, sp.csr_matrix(loop), sp.csc_matrix(rhs))
-    dense_rhs = rhs.toarray()
-    dense_loop = loop.toarray()
-    x, *_ = np.linalg.lstsq(dense_loop, dense_rhs, rcond=LOOP_SINGULARITY_TOL)
-    resid = np.abs(dense_loop @ x - dense_rhs).max()
-    scale = 1.0 + np.abs(dense_rhs).max()
-    if resid > 1e-10 * scale:
-        raise AlgebraicLoopError(
-            "ill-posed algebraic loop: (I - S_xy) is singular "
-            f"(estimated smallest singular value {smallest:.3e}) and the loop carries signal "
-            f"(residual {resid:.3e})"
-        )
-    return sp.csr_matrix(x)
-
-
-def _packed_solve(lu, loop: sp.csr_matrix, rhs: sp.csc_matrix) -> sp.csr_matrix:
-    """``sp.csr_matrix(lu.solve(rhs.toarray()))`` with one dense column per colour."""
     from scipy.sparse.csgraph import connected_components
 
+    loop, rhs = sp.csr_matrix(loop), sp.csc_matrix(rhs)
     kd, n = rhs.shape
     # the graph of the stored entries: csgraph casts values to float, which
     # discards the whole value of a purely imaginary coupling
     pattern = sp.csr_matrix((np.ones(loop.indices.size), loop.indices, loop.indptr), shape=loop.shape)
     n_comp, labels = connected_components(pattern, connection="weak")
-    rhs.sum_duplicates()  # the scatter below assigns, so each entry must be stored once
+    touched = np.zeros(n_comp, dtype=bool)
+    touched[labels[rhs.indices[rhs.data != 0]]] = True
+    keep = np.flatnonzero(touched[labels])
+    loop, rhs = loop[keep][:, keep], rhs[keep].tocsc()
+    lu, smallest = _factor(loop) if keep.size else (None, np.inf)  # nothing touched: nothing to factor
+    if smallest >= LOOP_SINGULARITY_TOL:
+        x = _packed_solve(lu, labels[keep], n_comp, rhs)
+    else:
+        dense_rhs = rhs.toarray()
+        dense_loop = loop.toarray()
+        dense_x, *_ = np.linalg.lstsq(dense_loop, dense_rhs, rcond=LOOP_SINGULARITY_TOL)
+        resid = np.abs(dense_loop @ dense_x - dense_rhs).max()
+        scale = 1.0 + np.abs(dense_rhs).max()
+        if resid > 1e-10 * scale:
+            raise AlgebraicLoopError(
+                "ill-posed algebraic loop: (I - S_xy) is singular "
+                f"(estimated smallest singular value {smallest:.3e}) and the loop carries signal "
+                f"(residual {resid:.3e})"
+            )
+        x = sp.csr_matrix(dense_x)
+    counts = np.zeros(kd, dtype=np.intp)
+    counts[keep] = np.diff(x.indptr)
+    return sp.csr_matrix((x.data, x.indices, np.concatenate(([0], np.cumsum(counts)))), shape=(kd, n))
 
+
+def _packed_solve(lu, labels: np.ndarray, n_comp: int, rhs: sp.csc_matrix) -> sp.csr_matrix:
+    """``sp.csr_matrix(lu.solve(rhs.toarray()))`` with one dense column per colour.
+
+    ``labels`` gives the connected component of each row of the loop.
+    Right-hand-side columns that touch disjoint components share one
+    dense column of a single ``lu.solve`` (Curtis-Powell-Reid column
+    grouping): each column takes the colour one past the highest colour
+    any of its components has used, and its solution is read back from
+    the rows of its components.  No value mixes across components and
+    the factors never couple them, so the result equals the unpacked
+    solve bit for bit while the dense block shrinks from one column per
+    right-hand-side column to one per colour: a loop of scalar x
+    identity blocks packs its d columns per block into a few, an
+    operator-valued S (one component) keeps one column each.
+    """
+    kd, n = rhs.shape
+    rhs.sum_duplicates()  # the scatter below assigns, so each entry must be stored once
     label = labels.tolist()
     rows, ptr = rhs.indices.tolist(), rhs.indptr.tolist()
     used = [0] * n_comp  # colours used so far by each component

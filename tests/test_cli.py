@@ -288,6 +288,17 @@ class TestOtherCommands:
         assert (code, out) == (1, "")
         assert err == "error: steady-state supports vacuum, coherent and gaussian drives only\n"
 
+    def test_steady_state_refuses_an_overflowed_truncation(self, capsys):
+        # the truncation-10 answer holds 7.1% in its top level and reads
+        # cav.n = 4.71; the linear steady state is 16.5
+        code, out, err = run_cli(
+            ["steady-state", NETWORKS / "driven_cavity.qnet", "--drive", "drive=coherent(alpha=3.0)"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: top Fock level of 'cav' reached population 7.1")
+        assert err.count("\n") == 1 and "in the steady state" in err
+
     def test_transfer_function_grid(self, capsys):
         code, out, _ = run_cli(
             ["transfer-function", NETWORKS / "opo_feedback.qnet", "--wmin", "-1", "--wmax", "1", "--n", "5"],

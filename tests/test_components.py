@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slhnet.components import (
+    CATALOG,
     beamsplitter,
     build_cavity_chain,
     build_copropagating_pair,
@@ -61,10 +62,7 @@ VALID_PARAMS = {
 
 
 def test_every_kind_has_valid_params_entry():
-    from slhnet.components import KIND_SCHEMAS
-
-    assert set(VALID_PARAMS) == set(kinds())
-    assert set(KIND_SCHEMAS) == set(kinds())
+    assert set(VALID_PARAMS) == set(kinds()) == set(CATALOG)
 
 
 @pytest.mark.parametrize("kind", sorted(VALID_PARAMS))
@@ -72,25 +70,22 @@ def test_catalog_triples_satisfy_invariants(kind):
     g = instantiate(kind, label="x", truncation=5, **VALID_PARAMS[kind])
     assert g.unitarity_residual() < 1e-10
     assert g.hermiticity_residual() < 1e-10
-    from slhnet.components import KIND_SCHEMAS
-
-    assert g.n_ports == KIND_SCHEMAS[kind]["ports"]
+    assert g.n_ports == CATALOG[kind][1]
 
 
 @pytest.mark.parametrize("kind", kinds())
 def test_schema_params_match_builder_signature(kind):
-    # every builder parameter but truncation/label is in the schema, with
-    # a trailing "?" exactly where the builder has a default; beamsplitter's
-    # matrix-valued `entries` has no schema type and is not exposed
-    from slhnet.components import _BUILDERS, KIND_SCHEMAS
-
-    params = inspect.signature(_BUILDERS[kind]).parameters
-    got = {name: p.default is not inspect.Parameter.empty
-           for name, p in params.items() if name not in ("truncation", "label")}
-    if kind == "beamsplitter":
-        del got["entries"]
-    want = {name: t.endswith("?") for name, t in KIND_SCHEMAS[kind]["params"].items()}
-    assert got == want
+    # the builder's signature is the kind's parameter schema: the valid
+    # parameters name only its parameters (truncation and label are
+    # instantiate's own) and every required one, and instantiate refuses a
+    # set that lacks a required one
+    params = inspect.signature(CATALOG[kind][0]).parameters
+    required = {name for name, p in params.items() if p.default is inspect.Parameter.empty}
+    assert required <= set(VALID_PARAMS[kind]) <= set(params) - {"truncation", "label"}
+    for name in required:
+        partial = {k: v for k, v in VALID_PARAMS[kind].items() if k != name}
+        with pytest.raises(ValidationError, match=f"bad parameters for '{kind}'"):
+            instantiate(kind, **partial)
 
 
 def test_unknown_kind():

@@ -40,7 +40,7 @@ from slhnet.envelopes import GaussianPulse
 from slhnet.errors import AlgebraicLoopError, SteadyStateError
 from slhnet.hilbert import LabeledSpace, Operator, _factor, destroy, number
 from slhnet.netlang import elaborate, parse
-from slhnet.slh import LOOP_SINGULARITY_TOL, SLHTriple, concat, feedback_multi, series
+from slhnet.slh import LOOP_SINGULARITY_TOL, SLHTriple, concat, feedback_multi, series, triples_close
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
@@ -245,20 +245,22 @@ class TestPackedLoopSolve:
 
         with mock.patch.object(slh, "_factor", factor):
             got = slh._solve_loop(loop, rhs)
-        (lu,) = factored
-        want = sp.csr_matrix(lu.lu.solve(rhs.toarray()))
+        # the reference solves the whole loop: _solve_loop factors only the
+        # components the right-hand side touches, and none when it touches none
+        want = sp.csr_matrix(spla.splu(sp.csc_matrix(loop)).solve(rhs.toarray()))
         assert got.shape == want.shape
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert got.data.tobytes() == want.data.tobytes()
         # one dense column per colour
         nonempty = int((rhs.getnnz(axis=0) > 0).sum())
+        widths = [w for lu in factored for w in lu.widths]
         if disjoint:
-            assert lu.widths == ([1] if nonempty else [])
+            assert widths == ([1] if nonempty else [])
         elif connected_components(loop != 0, directed=False)[0] == 1:
-            assert lu.widths == [nonempty]  # one component: nothing to pack
+            assert widths == [nonempty]  # one component: nothing to pack
         else:
-            assert len(lu.widths) == 1 and lu.widths[0] <= nonempty
+            assert len(widths) == 1 and widths[0] <= nonempty
 
     def test_vec_elim_loop_peak_memory_below_one_dense_rhs(self):
         # one dense right-hand side is a kd x (1 + m) d complex block (12.6 MB
@@ -274,6 +276,24 @@ class TestPackedLoopSolve:
         k, m, d = 4, g.n_ports, g.space.total_dim
         assert (k * d, m) == (1024, 2)
         assert peak < k * d * (1 + m) * d * 16
+
+    def test_detached_singular_loop_costs_no_solve(self):
+        # a phi = 0 self-loop is a singular block of I - S_xy that the
+        # right-hand side never reaches: it drops out without a dense solve
+        # of the whole 2 x 441 loop (46 MB before the restriction)
+        cascade = ("component c1 = one_sided_cavity(gamma=1.0, delta=0.3, truncation=20);\n"
+                   "component c2 = one_sided_cavity(gamma=2.0, delta=-0.2, truncation=20);\n"
+                   "wire c1.out[1] -> c2.in[1];\n")
+        detached = "component ps = phase_shifter(phi=0.0);\nwire ps.out[1] -> ps.in[1];\n" + cascade
+        nd = parse(detached)
+        tracemalloc.start()
+        try:
+            g = elaborate(nd).triple
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert triples_close(g, elaborate(parse(cascade)).triple)
 
 
 def _dark_state_generator(rng) -> Superoperator:
