@@ -20,23 +20,24 @@ time-dependent terms are one per merged coefficient (alpha, alpha* and
 |alpha|^2).  Every sandwich rho -> A rho B comes from ``_sandwich``, and
 the Fock hierarchy is a ``Superoperator`` over its stacked blocks.
 
-Both ``evolve_density`` and ``evolve_hierarchy`` integrate a
-Hermiticity-preserving linear ODE, so both run on the real coordinates of
-the state, d^2 reals for d^2 degrees of freedom, with the generator mapped
-to a real sparse matrix; a generator or initial state that the
-conjugation does not fix is refused, never projected.
+``evolve_density`` and ``evolve_hierarchy`` integrate a linear ODE that
+preserves Hermiticity, and ``steady_state`` solves for its null vector,
+all on the real coordinates of the state (d^2 reals for d^2 degrees of
+freedom) with the generator mapped to a real sparse matrix; a generator or
+initial state that the conjugation does not fix is refused, never projected.
 
 Also here: Heisenberg-picture coefficient extraction, input-output
 structure, an adaptive/fixed-step integrator whose guards stop on trace
 drift, negative eigenvalues and top-Fock-level population (read off the
-diagonal of rho, per hierarchy block), and a GMRES steady-state solver
-preconditioned by the exact inverse of the generator's no-jump part."""
+diagonal of rho, per hierarchy block), and the steady state's GMRES
+preconditioner, the exact inverse of the generator's no-jump part from one
+complex Schur form."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
@@ -117,6 +118,20 @@ def _negative_eigenvalue(herm: np.ndarray) -> float | None:
     return w if w < -TOL_POSITIVITY else None
 
 
+def _require_state(m: np.ndarray, what: str) -> None:
+    """Refuse a square matrix ``what`` whose trace is off 1 by more than
+    ``TOL_TRACE``, that is not Hermitian within ``TOL_OP`` or not positive."""
+    tr = complex(np.trace(m))
+    if not abs(tr - 1.0) <= TOL_TRACE:  # NaN fails too
+        raise ValidationError(f"{what} must have unit trace within {TOL_TRACE}, got {tr:.10g}")
+    herm = np.abs(m - m.conj().T).max()
+    if herm > TOL_OP:
+        raise ValidationError(f"{what} is not Hermitian: residual {herm:.3e}")
+    w = _negative_eigenvalue(m)
+    if w is not None:
+        raise ValidationError(f"{what} has negative eigenvalue {w:.3e}")
+
+
 @dataclass
 class DensityState:
     """Density matrix plus its time stamp; validated on construction."""
@@ -129,16 +144,7 @@ class DensityState:
         d = self.rho.space.total_dim
         if m.shape != (d, d):
             raise ValidationError("rho must be square on its space")
-        tr = complex(m.diagonal().sum())
-        if not abs(tr - 1.0) <= TOL_TRACE:  # NaN fails too
-            raise ValidationError(f"trace(rho) = {tr:.10g}, expected 1 within {TOL_TRACE}")
-        herm = (self.rho - self.rho.dag()).max_abs()
-        if herm > TOL_OP:
-            raise ValidationError(f"rho is not Hermitian: residual {herm:.3e}")
-        m = m.toarray()
-        w = _negative_eigenvalue(0.5 * (m + m.conj().T))
-        if w is not None:
-            raise ValidationError(f"rho has negative eigenvalue {w:.3e}")
+        _require_state(m.toarray(), "rho")
 
     def expect(self, op: Operator) -> complex:
         x = op.embed(self.rho.space) if op.space != self.rho.space else op
@@ -306,6 +312,11 @@ class _RealCoordinates:
         resid = np.abs(y - y[self.s].conj()).max()
         if not resid <= TOL_OP:  # NaN fails too
             raise ValidationError(f"initial state is not Hermitian: residual {resid:.3e}")
+        return self.project(y)
+
+    def project(self, y: np.ndarray) -> np.ndarray:
+        """``to_real`` unchecked: it reads each pair's first entry and the real
+        part of each fixed point, so it is exact only for a fixed ``y``."""
         x = y.real.copy()
         x[self.lo] = y[self.lo].real / self.r
         x[self.hi] = y[self.lo].imag / self.r
@@ -705,14 +716,7 @@ class FockHierarchy(Superoperator):
             c = np.array(field_coeffs, dtype=complex)
             if c.ndim != 2 or c.shape[0] != c.shape[1]:
                 raise ValidationError("field_coeffs must be a square matrix")
-            if abs(np.trace(c) - 1.0) > TOL_TRACE:
-                raise ValidationError(f"field coefficients must have unit trace, got {np.trace(c):.8g}")
-            herm = np.abs(c - c.conj().T).max()
-            if herm > TOL_OP:
-                raise ValidationError(f"field coefficients are not Hermitian: residual {herm:.3e}")
-            w = _negative_eigenvalue(c)
-            if w is not None:
-                raise ValidationError(f"field coefficients have negative eigenvalue {w:.3e}")
+            _require_state(c, "the field coefficient matrix")
         self.envelope = envelope
         self.c = c
         self.n_max = c.shape[0] - 1
@@ -850,7 +854,6 @@ class DensityTrajectory:
     times: np.ndarray
     space: LabeledSpace
     array: np.ndarray
-    expectations: dict = field(default_factory=dict)
 
     @cached_property
     def states(self) -> list[Operator]:
@@ -918,7 +921,6 @@ def evolve_density(
     rho0: Operator | DensityState,
     t_span: tuple[float, float],
     t_eval: Sequence[float] | None = None,
-    observables: Mapping[str, Operator] | None = None,
     method: str = "adaptive",
     atol: float = DEFAULT_ATOL,
     rtol: float = DEFAULT_RTOL,
@@ -938,10 +940,7 @@ def evolve_density(
         coords.rhs(generator), coords.to_real(vectorize(rho0)), t_span, t_eval, method=method,
         atol=atol, rtol=rtol, dt=dt, guard=guard,
     )
-    out = DensityTrajectory(traj.times, generator.space, traj.states)
-    for name, op in (observables or {}).items():
-        out.expectations[name] = out.expect(op)
-    return out
+    return DensityTrajectory(traj.times, generator.space, traj.states)
 
 
 def evolve_hierarchy(
@@ -979,58 +978,59 @@ def evolve_hierarchy(
 # steady state
 
 
-def _sylvester_part(M: sp.spmatrix, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(Pa, Pb)`` of the Frobenius-nearest map ``rho -> Pa rho + rho Pb``
-    to a d^2 x d^2 superoperator ``M``, that is ``kron(Pa, I) +
-    kron(I, Pb^T)``, read off in one pass over its entries.  For a
-    Lindblad generator with traceless jumps it is the no-jump part
-    ``-i(H_eff rho - rho H_eff^)``, ``H_eff = H - (i/2) sum L^L``."""
+def _sylvester_part(M: sp.spmatrix, d: int) -> np.ndarray:
+    """``P`` of the Frobenius-nearest map ``rho -> P rho + rho P^``,
+    ``kron(P, I) + kron(I, conj(P))``, to a Hermiticity-preserving d^2 x d^2
+    superoperator ``M``, read off the entries of ``M`` acting on the left
+    alone.  For a Lindblad generator with traceless jumps it is the no-jump
+    part ``-i(H_eff rho - rho H_eff^)``, ``H_eff = H - (i/2) sum L^L``."""
     C = M.tocoo()
     i, j = np.divmod(C.row, d)
     k, l = np.divmod(C.col, d)
-    left, right = j == l, i == k
-    Pa = sp.coo_matrix((C.data[left], (i[left], k[left])), shape=(d, d)).toarray() / d
-    PbT = sp.coo_matrix((C.data[right], (j[right], l[right])), shape=(d, d)).toarray() / d
-    Pa[np.diag_indices(d)] -= M.diagonal().sum() / d**2  # the identity part, counted on both sides
-    return Pa, PbT.T
+    left = j == l
+    P = sp.coo_matrix((C.data[left], (i[left], k[left])), shape=(d, d)).toarray() / d
+    P[np.diag_indices(d)] -= M.diagonal().sum() / (2 * d**2)  # the identity part, half on each side
+    return P
 
 
-def _sylvester_inverse(Pa: np.ndarray, Pb: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """``vec(R) -> vec(X)`` with ``Pa X + X Pb = R``, from one complex Schur
-    form of each side (Schur, not eigenvectors: ``H_eff`` may be defective)."""
-    d = Pa.shape[0]
-    Ta, Ua = sla.schur(Pa, output="complex")
-    Tb, Ub = sla.schur(Pb, output="complex")
-    UaH, UbH = Ua.conj().T, Ub.conj().T
+def _sylvester_inverse(P: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``vec(R) -> vec(X)`` with ``P X + X P^ = R``, from one complex Schur
+    form ``P = U T U^`` (Schur, not eigenvectors: ``H_eff`` may be
+    defective), so that each solve is ``T Y + Y T^ = U^ R U``."""
+    d = P.shape[0]
+    T, U = sla.schur(P, output="complex")
+    UH = U.conj().T
 
     def solve(r: np.ndarray) -> np.ndarray:
         # info = 1 (close eigenvalues, perturbed) still gives a preconditioner
-        y, scale, _ = sla.lapack.ztrsyl(Ta, Tb, UaH @ r.reshape(d, d) @ Ub)
-        return (Ua @ y @ UbH).reshape(-1) / scale
+        y, scale, _ = sla.lapack.ztrsyl(T, T, UH @ r.reshape(d, d) @ U, tranb="C")
+        return (U @ y @ UH).reshape(-1) / scale
 
     return solve
 
 
 def steady_state(generator: Superoperator) -> DensityState:
-    """Unit-trace null vector of a time-independent Liouvillian.
+    """Unit-trace null vector of a time-independent Liouvillian, solved on
+    the real coordinates of rho (``_RealCoordinates``), so rho is Hermitian
+    by construction; a generator that does not preserve Hermiticity is
+    refused as ``evolve_density`` refuses it.
 
-    The Liouvillian's first row (redundant by trace preservation) becomes
-    the trace functional, and ``A rho = e_0`` is solved by GMRES as in
-    QuTiP's "iterative-gmres" ``steadystate``; the same path runs at every
-    size.  The preconditioner is the exact inverse of the generator's
-    Sylvester part ``rho -> Pa rho + rho Pb`` (``_sylvester_part``: the
-    no-jump evolution; for vacuum and coherent inputs the jump terms left
-    to GMRES only lower the excitation number), shifted by
-    ``STEADY_SHIFT * ||A||_1`` so that a vacuum steady state does not make
-    it singular.  Every
-    failure raises :class:`SteadyStateError`, never a retry by another
-    method:
+    The real generator's first row (redundant by trace preservation)
+    becomes the trace functional, and ``A x = e_0`` is solved by GMRES as
+    in QuTiP's "iterative-gmres" ``steadystate``; the same path runs at
+    every size.  The preconditioner is the exact inverse of the Sylvester
+    part ``rho -> P rho + rho P^`` (``_sylvester_part``: the no-jump
+    evolution; for vacuum and coherent inputs the jump terms left to GMRES
+    only lower the excitation number), shifted by ``STEADY_SHIFT * ||A||_1``
+    (``A`` the complex trace-row Liouvillian) so that a vacuum steady state
+    does not make it singular.  Every failure raises
+    :class:`SteadyStateError`, never a retry by another method:
 
     * a GMRES run that does not converge, or solves from a zero and a
-      fixed-seed random unit-norm start that differ by more than
-      ``STEADY_START_AGREEMENT_TOL`` (a singular but consistent ``A``
-      keeps the start's null component), mean the null space is not
-      one-dimensional;
+      fixed-seed random unit-norm start (a random Hermitian matrix) that
+      differ by more than ``STEADY_START_AGREEMENT_TOL`` (a singular but
+      consistent ``A`` keeps the start's null component), mean the null
+      space is not one-dimensional;
     * a residual ``||L rho||`` above ``STEADY_RESIDUAL_TOL * ||A||_1``
       means it is trivial.
     """
@@ -1040,16 +1040,19 @@ def steady_state(generator: Superoperator) -> DensityState:
     M = generator.static
     d = generator.dim
     n = d * d
+    coords = _RealCoordinates(d)
+    R = coords.real_matrix(M)
+    # a diagonal entry of rho is its own coordinate, so the row reads both
     trace_row = sp.csr_matrix((np.ones(d), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))), shape=(1, n))
-    A = sp.vstack([trace_row, M[1:]], format="csr")
-    scale = max(1.0, spla.norm(A, 1))
-    Pa, Pb = _sylvester_part(M, d)
-    Pa[np.diag_indices(d)] -= STEADY_SHIFT * scale
-    precond = spla.LinearOperator(A.shape, _sylvester_inverse(Pa, Pb), dtype=np.complex128)
-    b = np.eye(1, n, dtype=np.complex128)[0]
-    rng = np.random.default_rng(0)
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    starts = (np.zeros(n, dtype=np.complex128), z / np.linalg.norm(z))
+    A = sp.vstack([trace_row, R[1:]], format="csr")
+    scale = max(1.0, spla.norm(sp.vstack([trace_row, M[1:]]), 1))
+    P = _sylvester_part(M, d)
+    P[np.diag_indices(d)] -= 0.5 * STEADY_SHIFT * scale  # P and P^ each take half of the shift
+    solve = _sylvester_inverse(P)
+    precond = spla.LinearOperator(A.shape, lambda x: coords.project(solve(coords.to_complex(x))), dtype=np.float64)
+    b = np.eye(1, n)[0]
+    z = np.random.default_rng(0).standard_normal(n)
+    starts = (np.zeros(n), z / np.linalg.norm(z))
     solves = []
     for x0 in starts:
         x, info = spla.gmres(
@@ -1062,22 +1065,19 @@ def steady_state(generator: Superoperator) -> DensityState:
                 "the null space dimension may not be 1"
             )
         solves.append(x)
-    vec, other = solves
-    spread = np.abs(vec - other).max()
-    if spread > STEADY_START_AGREEMENT_TOL * max(1.0, np.abs(vec).max()):
+    x, other = solves
+    spread = np.abs(x - other).max()
+    if spread > STEADY_START_AGREEMENT_TOL * max(1.0, np.abs(x).max()):
         raise SteadyStateError(
             "non-unique steady state: null space dimension is not 1 "
             f"(solves from two starts differ by {spread:.3e})"
         )
-    resid = np.linalg.norm(M @ vec)
+    resid = np.linalg.norm(R @ x)  # = ||L rho||: the coordinates are isometric
     if resid > STEADY_RESIDUAL_TOL * scale:
         raise SteadyStateError(
             f"no steady state: Liouvillian has trivial null space (residual |L rho| = {resid:.3e})"
         )
-    rho = vec.reshape(d, d)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho)
-    return DensityState(Operator(generator.space, rho), 0.0)
+    return DensityState(unvectorize(coords.to_complex(x), generator.space), 0.0)
 
 
 # --------------------------------------------------------------------------

@@ -222,9 +222,8 @@ class TestCriterion3Dynamics:
         cav = one_sided_cavity(gamma, 0.0, truncation=6, label="c")
         rho0 = density_from_vector(cav.space, basis_vector(cav.space, {"c": 1}))
         ts = np.linspace(0, 5 / gamma, 100)
-        traj = evolve_density(liouvillian(cav), rho0, (0, 5 / gamma), ts,
-                              observables={"n": number("c", 6)})
-        err = np.abs(traj.expectations["n"].real - np.exp(-gamma * ts)).max()
+        traj = evolve_density(liouvillian(cav), rho0, (0, 5 / gamma), ts)
+        err = np.abs(traj.expect(number("c", 6)).real - np.exp(-gamma * ts)).max()
         assert err < 1e-7
         report(f"3a cavity decay vs analytic (max err {err:.1e} < 1e-7)")
 
@@ -470,16 +469,12 @@ class TestCriterion7Elimination:
             full = SLHTriple(1, [np.sqrt(k**2 * kappa0) * a], k * g0 * (a.dag() * sm + a * sm.dag()))
             rho0 = density_from_vector(full.space, basis_vector(full.space, {"atom": 1}))
             n_q = sigma_plus("atom") * sigma_minus("atom")
-            traj_full = evolve_density(liouvillian(full), rho0, (0, 2.0), ts,
-                                       observables={"n": n_q}, truncation_guard=None)
+            traj_full = evolve_density(liouvillian(full), rho0, (0, 2.0), ts, truncation_guard=None)
             red = eliminate_triple(full, projector_from_states(full.space, {"cav": 0, "atom": None}),
                                    unitarity_tol=1.0)
             rho0r = density_from_vector(red.space, basis_vector(red.space, {"atom": 1}))
-            traj_red = evolve_density(liouvillian(red), rho0r, (0, 2.0), ts,
-                                      observables={"n": n_q}, truncation_guard=None)
-            errors.append(
-                np.abs(traj_full.expectations["n"].real - traj_red.expectations["n"].real).mean()
-            )
+            traj_red = evolve_density(liouvillian(red), rho0r, (0, 2.0), ts, truncation_guard=None)
+            errors.append(np.abs(traj_full.expect(n_q).real - traj_red.expect(n_q).real).mean())
         assert errors[0] > errors[1] > errors[2]
         report(f"7c full-vs-reduced trajectory error falls monotonically: "
                f"{errors[0]:.2e} > {errors[1]:.2e} > {errors[2]:.2e}")

@@ -76,8 +76,8 @@ class TestVacuumMasterEquation:
         gen = liouvillian(cav)
         rho0 = fock_density(cav.space, {"c": 1})
         ts = np.linspace(0, 5 / gamma, 80)
-        traj = evolve_density(gen, rho0, (0, 5 / gamma), ts, observables={"n": number("c", 6)})
-        err = np.abs(traj.expectations["n"].real - np.exp(-gamma * ts)).max()
+        traj = evolve_density(gen, rho0, (0, 5 / gamma), ts)
+        err = np.abs(traj.expect(number("c", 6)).real - np.exp(-gamma * ts)).max()
         assert err < 1e-7
 
     def test_trace_derivative_vanishes(self, rng):
@@ -313,15 +313,15 @@ class TestSourceModelEquivalence:
 
         gen1 = liouvillian(ideal)
         rho1 = fock_density(ideal.space, {"down": 0})
-        tr1 = evolve_density(gen1, rho1, (0, 8.0), ts, observables={"a": a_down}, truncation_guard=None)
+        tr1 = evolve_density(gen1, rho1, (0, 8.0), ts, truncation_guard=None)
 
         gen2 = liouvillian(physical)
         from slhnet.hilbert import coherent_vector, product_density
 
         rho2 = product_density(physical.space, {"src": coherent_vector(12, alpha)})
-        tr2 = evolve_density(gen2, rho2, (0, 8.0), ts, observables={"a": a_down}, truncation_guard=None)
+        tr2 = evolve_density(gen2, rho2, (0, 8.0), ts, truncation_guard=None)
 
-        err = np.abs(tr1.expectations["a"] - tr2.expectations["a"]).max()
+        err = np.abs(tr1.expect(a_down) - tr2.expect(a_down)).max()
         assert err < 1e-4
 
 

@@ -219,7 +219,7 @@ class TestElaboration:
         n_cav = number("cav", 6)
         got, ref = (
             evolve_density(liouvillian(g), res.initial_state, (0.0, 6.0), np.linspace(0.0, 6.0, 13),
-                           observables={"n": n_cav}, method="fixed", dt=0.01).expectations["n"]
+                           method="fixed", dt=0.01).expect(n_cav)
             for g in (res.triple, want)
         )
         assert np.abs(got - ref).max() < 1e-12

@@ -219,24 +219,17 @@ class TestDynamicalConvergence:
         for k in (3.0, 5.0, 10.0):
             full = cavity_qed(kappa=k**2 * kappa0, g=k * g0, gamma=0.0, trunc=4)
             rho0 = density_from_vector(full.space, basis_vector(full.space, {"atom": 1}))
-            traj_full = evolve_density(
-                liouvillian(full), rho0, (0, t_end), ts,
-                observables={"n": sigma_plus("atom") * sigma_minus("atom")},
-                truncation_guard=None,
-            )
+            n_atom = sigma_plus("atom") * sigma_minus("atom")
+            traj_full = evolve_density(liouvillian(full), rho0, (0, t_end), ts, truncation_guard=None)
             red = eliminate_triple(
                 full, projector_from_states(full.space, {"cav": 0, "atom": None}),
                 unitarity_tol=1.0,
             )
             rho0r = density_from_vector(red.space, basis_vector(red.space, {"atom": 1}))
-            traj_red = evolve_density(
-                liouvillian(red), rho0r, (0, t_end), ts,
-                observables={"n": sigma_plus("atom") * sigma_minus("atom")},
-                truncation_guard=None,
-            )
+            traj_red = evolve_density(liouvillian(red), rho0r, (0, t_end), ts, truncation_guard=None)
             # time-averaged trajectory error; the max-norm is pinned by the
             # initial vacuum-Rabi transient and converges only linearly
-            err = np.abs(traj_full.expectations["n"].real - traj_red.expectations["n"].real).mean()
+            err = np.abs(traj_full.expect(n_atom).real - traj_red.expect(n_atom).real).mean()
             errors.append(err)
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < errors[0] / 5.0

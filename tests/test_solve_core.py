@@ -29,6 +29,7 @@ from slhnet.dynamics import (
     Superoperator,
     _sylvester_inverse,
     _sylvester_part,
+    evolve_density,
     liouvillian,
     liouvillian_coherent,
     liouvillian_gaussian,
@@ -37,8 +38,8 @@ from slhnet.dynamics import (
     steady_state,
 )
 from slhnet.envelopes import GaussianPulse
-from slhnet.errors import AlgebraicLoopError, SteadyStateError
-from slhnet.hilbert import LabeledSpace, Operator, _factor, destroy, number
+from slhnet.errors import AlgebraicLoopError, SteadyStateError, ValidationError
+from slhnet.hilbert import LabeledSpace, Operator, _factor, destroy, number, sigma_minus
 from slhnet.netlang import elaborate, parse
 from slhnet.slh import LOOP_SINGULARITY_TOL, SLHTriple, concat, feedback_multi, series, triples_close
 
@@ -307,6 +308,21 @@ def _dark_state_generator(rng) -> Superoperator:
     return liouvillian(SLHTriple([[1, 0], [0, 1]], jumps, Operator(space, h)))
 
 
+def _hermiticity_breaking_generator(kind: str) -> Superoperator:
+    """A qubit generator that does not commute with rho -> rho^: a decaying,
+    driven qubit plus the commutator [C, rho] with a Hermitian C (trace
+    preserving), or rho -> A rho + rho B with B != A^."""
+    sm = sigma_minus("q")
+    space = sm.space
+    if kind == "commutator":
+        C = Operator(space, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        drive = liouvillian(SLHTriple(1, [sm], 0.5 * (sm + sm.dag())))
+        return drive + 0.05 * (spre(space, C) + (-1.0) * spost(space, C))
+    A = Operator(space, np.array([[-1.0, 0.0], [0.0, 0.0]]))
+    B = Operator(space, np.array([[0.0, 1.0], [0.0, -1.0]]))
+    return spre(space, A) + spost(space, B)
+
+
 def _random_generator(seed: int) -> Superoperator:
     """Liouvillian of one or two factors (d <= 6), a random Hermitian H and
     one or two random jump operators: its null space is generically
@@ -376,6 +392,30 @@ class TestSteadyStateContract:
         with pytest.raises(SteadyStateError, match="dimension"):
             steady_state(_dark_state_generator(np.random.default_rng(seed)))
 
+    @pytest.mark.parametrize("kind", ["commutator", "sylvester"])
+    def test_hermiticity_breaking_generator_refused_as_in_evolve_density(self, kind):
+        gen = _hermiticity_breaking_generator(kind)
+        with pytest.raises(ValidationError, match="generator does not preserve Hermiticity") as solved:
+            steady_state(gen)
+        with pytest.raises(ValidationError) as evolved:
+            evolve_density(gen, Operator(gen.space, np.diag([1.0, 0.0])), (0.0, 1.0))
+        assert str(solved.value) == str(evolved.value)
+
+    def test_one_schur_form_and_an_exactly_hermitian_answer(self, monkeypatch):
+        # a work counter: one Schur form serves both sides of the
+        # preconditioner; rho is read off its real coordinates, so it is
+        # Hermitian without a repair
+        schur, calls = sla.schur, []
+
+        def counting_schur(*args, **kw):
+            calls.append(args[0].shape)
+            return schur(*args, **kw)
+
+        monkeypatch.setattr(sla, "schur", counting_schur)
+        rho = steady_state(_driven_cascade((2.0, 0.5), (3.0, -0.7), 4)[0]).rho.constant().toarray()
+        assert calls == [(16, 16)]
+        assert np.array_equal(rho, rho.conj().T)
+
     def test_gmres_failure_raises_without_fallback(self, monkeypatch):
         monkeypatch.setattr(spla, "gmres", lambda A, b, x0, **kw: (x0, 1))
         gen = liouvillian_coherent(one_sided_cavity(1.0, 0.0, truncation=4, label="c"), 0.3)
@@ -395,8 +435,9 @@ def _driven_cascade(c1_params, c2_params, truncation, alpha=0.2 - 0.1j):
 
 
 class TestSylvesterPreconditioner:
-    """The preconditioner inverts the Sylvester part rho -> Pa rho + rho Pb
-    of the generator exactly; the jump terms are what it leaves out."""
+    """The preconditioner inverts the Sylvester part rho -> P rho + rho P^
+    of a Hermiticity-preserving generator exactly; the jump terms are what
+    it leaves out."""
 
     def _space(self):
         return LabeledSpace([("a", 2), ("b", 3)])
@@ -407,20 +448,19 @@ class TestSylvesterPreconditioner:
     def test_projection_rebuilds_sylvester_generator(self, rng):
         space = self._space()
         d = space.total_dim
-        X, Y = self._random_matrix(rng, d), self._random_matrix(rng, d)
-        M = (spre(space, Operator(space, X)) + spost(space, Operator(space, Y))).static
-        Pa, Pb = _sylvester_part(M, d)
-        rebuilt = np.kron(Pa, np.eye(d)) + np.kron(np.eye(d), Pb.T)
+        X = self._random_matrix(rng, d)
+        M = (spre(space, Operator(space, X)) + spost(space, Operator(space, X.conj().T))).static
+        P = _sylvester_part(M, d)
+        rebuilt = np.kron(P, np.eye(d)) + np.kron(np.eye(d), P.conj())
         assert np.abs(rebuilt - M.toarray()).max() < 1e-12
 
     def test_inverse_of_sylvester_generator(self, rng):
         space = self._space()
         d = space.total_dim
-        # spectra in disjoint half-planes: Pa X + X Pb is well conditioned
+        # a spectrum in the left half-plane: P X + X P^ is well conditioned
         X = self._random_matrix(rng, d, shift=-3 * np.sqrt(2 * d))
-        Y = self._random_matrix(rng, d, shift=-3 * np.sqrt(2 * d))
-        M = (spre(space, Operator(space, X)) + spost(space, Operator(space, Y))).static
-        solve = _sylvester_inverse(*_sylvester_part(M, d))
+        M = (spre(space, Operator(space, X)) + spost(space, Operator(space, X.conj().T))).static
+        solve = _sylvester_inverse(_sylvester_part(M, d))
         v = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
         assert np.abs(solve(M @ v) - v).max() < 1e-12 * np.abs(v).max()
 
@@ -434,10 +474,10 @@ class TestSylvesterPreconditioner:
         M = liouvillian(
             SLHTriple(np.eye(2).tolist(), [Operator(space, m) for m in jumps], random_hermitian(rng, space))
         ).static
-        Pa, Pb = _sylvester_part(M, d)
-        P = np.kron(Pa, np.eye(d)) + np.kron(np.eye(d), Pb.T)
+        P = _sylvester_part(M, d)
+        rebuilt = np.kron(P, np.eye(d)) + np.kron(np.eye(d), P.conj())
         want = sum(np.kron(m, m.conj()) for m in jumps)
-        assert np.abs(M.toarray() - P - want).max() < 1e-12
+        assert np.abs(M.toarray() - rebuilt - want).max() < 1e-12
 
 
 class TestSizeIndependence:
@@ -457,10 +497,10 @@ class TestSizeIndependence:
 
     def test_identical_cascade_amplitudes(self):
         # two identical cavities in cascade: the no-jump part is (nearly) a
-        # Jordan block, which the preconditioner's Schur forms handle and an
+        # Jordan block, which the preconditioner's Schur form handles and an
         # eigendecomposition would not
         gen, (a1, a2) = _driven_cascade((2.0, 0.5), (2.0, 0.5), 8)
-        _, vecs = np.linalg.eig(_sylvester_part(gen.static, gen.dim)[0])
+        _, vecs = np.linalg.eig(_sylvester_part(gen.static, gen.dim))
         assert np.linalg.cond(vecs) > 1e10
         ss = steady_state(gen)
         assert abs(ss.expect(destroy("c1", 8)) - a1) < 1e-8
