@@ -69,8 +69,8 @@ def _mode_ops(label: str, dim: int) -> dict[str, Operator]:
     }
 
 
-def resolve_observable(expr: str, space, known_labels) -> Operator:
-    """Parse an operator expression like '2*cav.n + atom.sz'.
+def resolve_observable(expr: str, space) -> Operator:
+    """Parse an operator expression like '2*cav.n + atom.sz' on ``space``.
 
     Qualified names resolve greedily against the factor labels of the
     elaborated space, so 'jc.mode.n' is the photon number of the factor
@@ -101,8 +101,8 @@ def resolve_observable(expr: str, space, known_labels) -> Operator:
                                  tok.line, tok.column)
             attr = parts[-1]
             label = ".".join(parts[:-1])
-            if label not in known_labels:
-                raise ParseError(f"unknown mode label {label!r} (have: {sorted(known_labels)})",
+            if label not in space.labels:
+                raise ParseError(f"unknown mode label {label!r} (have: {sorted(space.labels)})",
                                  tok.line, tok.column)
             dim = space.dim_of(label)
             table = _qubit_ops(label) if dim == 2 else _mode_ops(label, dim)
@@ -138,13 +138,15 @@ def resolve_observable(expr: str, space, known_labels) -> Operator:
     return result.embed(space)
 
 
-def default_observables(space) -> dict[str, str]:
-    out = {}
-    for lbl, dim in space.factors:
-        out[f"{lbl}.sz" if dim == 2 else f"{lbl}.n"] = (
-            f"{lbl}.sz" if dim == 2 else f"{lbl}.n"
-        )
-    return out
+def _observables(args, space) -> dict[str, Operator]:
+    """``--observables`` (default: each factor's ``sz`` or ``n``), each
+    resolved on ``space`` under its own text as name."""
+    exprs = (
+        [expr.strip() for expr in args.observables.split(",")]
+        if args.observables
+        else [f"{lbl}.sz" if dim == 2 else f"{lbl}.n" for lbl, dim in space.factors]
+    )
+    return {expr: resolve_observable(expr, space) for expr in exprs}
 
 
 # --------------------------------------------------------------------------
@@ -224,24 +226,15 @@ def _write(text: str, out: str | None):
             fh.write(text)
 
 
-def _drives_and_observables(args, space):
-    """``--drive port=spec`` items and ``--observables`` (name -> expression)."""
+def _drives(args) -> dict:
+    """``--drive port=spec`` items, port label -> (kind, kwargs)."""
     drives = {}
     for spec in args.drive or []:
         if "=" not in spec:
             raise SLHNetError(f"--drive needs port=spec, got {spec!r}")
         label, rhs = spec.split("=", 1)
         drives[label.strip()] = parse_drive_spec(rhs.strip())
-    observables = (
-        {expr.strip(): expr.strip() for expr in args.observables.split(",")}
-        if args.observables
-        else default_observables(space)
-    )
-    return drives, observables
-
-
-def _resolve_observables(observables, space) -> dict[str, Operator]:
-    return {name: resolve_observable(expr, space, set(space.labels)) for name, expr in observables.items()}
+    return drives
 
 
 def _count(value: int, flag: str) -> int:
@@ -273,9 +266,10 @@ def _build_generator(res, drives):
     if not nonvac:
         return liouvillian(g)
     label, (kind, kwargs) = next(iter(nonvac.items()))
-    if label not in res.input_labels:
-        raise SLHNetError(f"drive port {label!r} is not an exposed input ({res.input_labels})")
-    port = res.input_labels.index(label) + 1
+    ports = list(g.input_names)
+    if label not in ports:
+        raise SLHNetError(f"drive port {label!r} is not an exposed input ({ports})")
+    port = ports.index(label) + 1
     if kind == "coherent":
         alpha = kwargs.get("alpha", 1.0)
         if "envelope" in kwargs:
@@ -291,10 +285,10 @@ def _build_generator(res, drives):
     raise SLHNetError(f"unknown drive kind {kind!r}")
 
 
-def _run_simulation(res, args, drives, observables):
+def _run_simulation(res, args, drives):
     t_eval = np.linspace(args.t0, args.t1, _count(args.samples, "--samples"))
     gen = _build_generator(res, drives)
-    obs_ops = _resolve_observables(observables, res.triple.space)
+    obs_ops = _observables(args, res.triple.space)
     run = dict(method=args.method, dt=args.dt, atol=args.atol, rtol=args.rtol,
                truncation_guard=None if args.no_guard else args.trunc_guard)
     fock = isinstance(gen, FockHierarchy)
@@ -311,7 +305,7 @@ def _run_simulation(res, args, drives, observables):
 
 def cmd_simulate(args) -> int:
     res = _compose(args.file)
-    drives, observables = _drives_and_observables(args, res.triple.space)
+    drives = _drives(args)
 
     def emit(triple, times, columns, out_path):
         if args.format == "csv":
@@ -342,7 +336,7 @@ def cmd_simulate(args) -> int:
             nd_k = copy.deepcopy(nd)
             nd_k.instance(inst_name).params[param] = float(value)
             res_k = elaborate(nd_k)
-            times, columns = _run_simulation(res_k, args, drives, observables)
+            times, columns = _run_simulation(res_k, args, drives)
             suffix = f"_{k:03d}"
             base = args.output or "sweep.csv"
             root, dot, ext = base.rpartition(".")
@@ -355,22 +349,20 @@ def cmd_simulate(args) -> int:
         print("\n".join(outs))
         return 0
 
-    times, columns = _run_simulation(res, args, drives, observables)
+    times, columns = _run_simulation(res, args, drives)
     emit(res.triple, times, columns, args.output)
     return 0
 
 
 def cmd_steady_state(args) -> int:
     res = _compose(args.file)
-    drives, observables = _drives_and_observables(args, res.triple.space)
-    gen = _build_generator(res, drives)
+    gen = _build_generator(res, _drives(args))
     if isinstance(gen, FockHierarchy):
         raise SLHNetError("steady-state supports vacuum, coherent and gaussian drives only")
     ss = steady_state(gen)
     _check_truncation(ss.rho.space, ss.rho.constant().diagonal().real, TRUNC_GUARD, "in the steady state")
     lines = [
-        f"{name},{format_value(ss.expect(op))}"
-        for name, op in _resolve_observables(observables, res.triple.space).items()
+        f"{name},{format_value(ss.expect(op))}" for name, op in _observables(args, res.triple.space).items()
     ]
     _write("observable,value\n" + "\n".join(lines) + "\n", args.output)
     return 0

@@ -146,9 +146,18 @@ class DensityState:
             raise ValidationError("rho must be square on its space")
         _require_state(m.toarray(), "rho")
 
+    @cached_property
+    def _coordinates(self) -> tuple[_RealCoordinates, np.ndarray]:
+        """The real coordinates of rho, computed on first use, and their map."""
+        coords = _RealCoordinates(self.rho.space.total_dim)
+        return coords, coords.project(vectorize(self.rho))
+
     def expect(self, op: Operator) -> complex:
-        x = op.embed(self.rho.space) if op.space != self.rho.space else op
-        return complex((x.constant() @ self.rho.constant()).diagonal().sum())
+        """tr(X rho) by the rule trajectories use (``_expect``), envelope
+        terms read at ``time``: a Hermitian X has an imaginary part of
+        exactly zero."""
+        coords, x = self._coordinates
+        return complex(_expect(op, self.rho.space, x, self.time, coords))
 
 
 @dataclass
@@ -1092,23 +1101,21 @@ def format_value(z) -> str:
     return f"{z.real:.12e}:{z.imag:.12e}"
 
 
-def trajectory_csv(times: np.ndarray, columns: Mapping[str, Sequence]) -> str:
-    header = "t," + ",".join(columns.keys())
-    lines = [header]
+def _rows(times, columns: Mapping[str, Sequence]) -> list[list[str]]:
+    """One formatted row per sample: the time, then each column's value."""
     cols = list(columns.values())
-    for k, t in enumerate(times):
-        row = [f"{float(t):.12e}"] + [format_value(col[k]) for col in cols]
-        lines.append(",".join(row))
+    return [[f"{float(t):.12e}"] + [format_value(col[k]) for col in cols] for k, t in enumerate(times)]
+
+
+def trajectory_csv(times: np.ndarray, columns: Mapping[str, Sequence]) -> str:
+    lines = ["t," + ",".join(columns)] + [",".join(row) for row in _rows(times, columns)]
     return "\n".join(lines) + "\n"
 
 
 def trajectory_json(times, columns: Mapping[str, Sequence], metadata: Mapping | None = None) -> str:
     payload = {
         "metadata": dict(metadata or {}),
-        "columns": ["t"] + list(columns.keys()),
-        "rows": [
-            [f"{float(t):.12e}"] + [format_value(col[k]) for col in columns.values()]
-            for k, t in enumerate(times)
-        ],
+        "columns": ["t", *columns],
+        "rows": _rows(times, columns),
     }
     return json.dumps(payload, indent=2)

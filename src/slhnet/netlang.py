@@ -490,24 +490,20 @@ def build_value(v):
 
 @dataclass
 class ElaborationResult:
-    triple: SLHTriple
-    input_labels: list[str]
-    output_labels: list[str]
-    instance_factors: dict  # instance name -> list of factor labels
+    triple: SLHTriple  # its input_names/output_names name every surviving port
     initial_state: Operator  # density operator on the triple's space
-    description: NetworkDescription
 
 
 def elaborate(nd: NetworkDescription) -> ElaborationResult:
-    """Concatenate all instances in declaration order, close every wire
-    with one block feedback reduction, and label the survivors."""
+    """Concatenate all instances in declaration order, name every port (its
+    exposed label, else ``inst.in[k]`` / ``inst.out[k]``), and close every
+    wire with one block feedback reduction, which keeps the names of the
+    ports that survive."""
     if not nd.instances:
         raise ElaborationError("network declares no components")
     triples: list[SLHTriple] = []
     offsets: dict[str, int] = {}
-    ports: dict[str, int] = {}
-    instance_factors: dict[str, list[str]] = {}
-    total_ports = 0
+    names: dict[str, list[str]] = {"in": [], "out": []}
     for inst in nd.instances:
         try:
             params = {k: build_value(v) for k, v in inst.params.items()}
@@ -517,59 +513,27 @@ def elaborate(nd: NetworkDescription) -> ElaborationResult:
             raise ElaborationError(
                 f"{inst.pos[0]}:{inst.pos[1]}: cannot instantiate {inst.name!r}: {exc}"
             ) from exc
-        offsets[inst.name] = total_ports
-        ports[inst.name] = g.n_ports
-        instance_factors[inst.name] = list(g.space.labels)
-        total_ports += g.n_ports
+        offsets[inst.name] = len(names["in"])
+        for side, side_names in names.items():
+            side_names += [f"{inst.name}.{side}[{k + 1}]" for k in range(g.n_ports)]
         triples.append(g)
-
-    net = concat(*triples)
+    for e in nd.exposes:
+        names[e.side][offsets[e.instance] + e.index - 1] = e.label
+    net = concat(*triples).with_names(input_names=names["in"], output_names=names["out"])
 
     wiring = [
         (offsets[w.src[0]] + w.src[1], offsets[w.dst[0]] + w.dst[1]) for w in nd.wires
     ]
     try:
-        result = feedback_multi(net, wiring)
+        reduced = feedback_multi(net, wiring).triple
     except CompositionError as exc:
         wires = ", ".join(f"{w.src[0]}.out[{w.src[1]}]->{w.dst[0]}.in[{w.dst[1]}]" for w in nd.wires)
         kind = "algebraic loop" if isinstance(exc, AlgebraicLoopError) else "composition error"
         raise ElaborationError(f"{kind} while closing wires [{wires}]: {exc}") from exc
-    reduced = result.triple
-
-    in_labels = {}
-    out_labels = {}
-    for e in nd.exposes:
-        global_idx = offsets[e.instance] + e.index
-        if e.side == "in":
-            if global_idx not in result.in_map:
-                raise ElaborationError(f"exposed input {e.instance}.in[{e.index}] was eliminated")
-            in_labels[result.in_map[global_idx]] = e.label
-        else:
-            if global_idx not in result.out_map:
-                raise ElaborationError(f"exposed output {e.instance}.out[{e.index}] was eliminated")
-            out_labels[result.out_map[global_idx]] = e.label
-
-    def default_label(global_idx: int, side: str) -> str:
-        for name in offsets:
-            lo = offsets[name]
-            if lo < global_idx <= lo + ports[name]:
-                return f"{name}.{side}[{global_idx - lo}]"
-        return f"{side}{global_idx}"
-
-    input_labels = []
-    for old, new in sorted(result.in_map.items(), key=lambda kv: kv[1]):
-        input_labels.append(in_labels.get(new, default_label(old, "in")))
-    output_labels = []
-    for old, new in sorted(result.out_map.items(), key=lambda kv: kv[1]):
-        output_labels.append(out_labels.get(new, default_label(old, "out")))
-    reduced = reduced.with_names(input_names=tuple(input_labels) or None,
-                                 output_names=tuple(output_labels) or None)
-
-    rho0 = _initial_state(nd, triples, reduced.space, instance_factors)
-    return ElaborationResult(reduced, input_labels, output_labels, instance_factors, rho0, nd)
+    return ElaborationResult(reduced, _initial_state(nd, triples, reduced.space))
 
 
-def _initial_state(nd, triples, space: LabeledSpace, instance_factors) -> Operator:
+def _initial_state(nd, triples, space: LabeledSpace) -> Operator:
     """Per-factor initial states: explicit `state` declarations override
     source-model metadata defaults; everything else starts in vacuum."""
     factor_states: dict[str, np.ndarray] = {}
@@ -577,6 +541,7 @@ def _initial_state(nd, triples, space: LabeledSpace, instance_factors) -> Operat
         meta = g.metadata.get("initial_state") or {}
         for lbl, spec in meta.items():
             factor_states[lbl] = _atom_vector(spec, space.dim_of(lbl))
+    instance_factors = {inst.name: g.space.labels for inst, g in zip(nd.instances, triples)}
     declared = {s.instance: s for s in nd.states}
     for inst_name, st in declared.items():
         labels = sorted(instance_factors[inst_name])

@@ -654,8 +654,8 @@ def triple_from_dict(data: dict) -> SLHTriple:
     )
 
 
-def triple_to_json(g: SLHTriple, indent: int | None = 2) -> str:
-    return json.dumps(triple_to_dict(g), indent=indent, separators=None if indent else (",", ":"))
+def triple_to_json(g: SLHTriple) -> str:
+    return json.dumps(triple_to_dict(g), indent=2)
 
 
 def triple_from_json(text: str) -> SLHTriple:

@@ -267,15 +267,18 @@ class TestOtherCommands:
             [
                 "steady-state", NETWORKS / "driven_cavity.qnet",
                 "--drive", "drive=coherent(alpha=0.25)",
-                "--observables", "cav.a",
+                "--observables", "cav.a,cav.x,cav.y",
             ],
             capsys,
         )
         assert code == 0
-        value = out.strip().split("\n")[1].split(",")[1]
-        re_a, im_a = (float(x) for x in value.split(":"))
+        values = dict(line.split(",") for line in out.strip().split("\n")[1:])
+        re_a, im_a = (float(x) for x in values["cav.a"].split(":"))
         want = -np.sqrt(2.0) * 0.25 / (1.0 + 0.3j)
         assert abs(complex(re_a, im_a) - want) < 1e-8
+        # Hermitian observables print as one real number, as simulate prints them
+        assert abs(float(values["cav.x"]) - np.sqrt(2.0) * want.real) < 1e-8
+        assert abs(float(values["cav.y"]) - np.sqrt(2.0) * want.imag) < 1e-8
 
     def test_steady_state_refuses_a_fock_drive(self, capsys):
         code, out, err = run_cli(

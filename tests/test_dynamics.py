@@ -590,6 +590,29 @@ class TestStackedExpectations:
         assert np.abs(traj.expect(X) - per_sample).max() < 1e-13
         assert np.abs(traj.expect(X) - [DensityState(s).expect(X) for s in traj.states]).max() < 1e-13
 
+    @pytest.mark.parametrize("dims", [(4,), (2, 3), (2, 2, 3)], ids=["1-factor", "2-factor", "3-factor"])
+    def test_density_state_reads_by_the_folded_rule(self, dims):
+        # a steady state and a trajectory sample answer by one rule: a
+        # Hermitian observable has an imaginary part of exactly zero
+        rng = np.random.default_rng(len(dims))
+        space = LabeledSpace([(f"f{k}", d) for k, d in enumerate(dims)])
+        n = space.total_dim
+        pulse = GaussianPulse(t0=1.0, sigma=0.5)
+        for _ in range(5):
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            rho = m @ m.conj().T
+            rho /= np.trace(rho).real
+            state = DensityState(Operator(space, rho), time=1.3)
+            X, Y = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
+            herm = X + X.conj().T
+            got = state.expect(Operator(space, herm))
+            assert got.imag == 0.0
+            assert abs(got - np.trace(herm @ rho)) < 1e-12
+            assert abs(state.expect(Operator(space, X)) - np.trace(X @ rho)) < 1e-12
+            timed = Operator(space, X) + Operator(space, Y).scaled_by(pulse)
+            want = np.trace(X @ rho) + pulse(1.3) * np.trace(Y @ rho)
+            assert abs(state.expect(timed) - want) < 1e-12
+
     def test_hierarchy_run_matches_per_sample(self, rng):
         atom = SLHTriple(1, [sigma_minus("q")], 0.0)
         v = np.array([0.6, 0.8j])

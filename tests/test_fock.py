@@ -148,11 +148,35 @@ class TestPhotonBookkeeping:
 class TestWiredSourceOracle:
     """The hierarchy against the same input made by a wired ``fock_source``
     cavity (Gough, James, Nurdin & Combes, PRA 86, 043819 (2012)), whose
-    output flux is E[sum L^L] of the wired triple.  The pulse starts 8 sigma
-    after t = 0, so the pre-t0 pulse mass that the source misses is ~1e-15;
-    the measured gaps, <= 4e-7, come from the source's W_CUTOFF clamp."""
+    output flux is E[sum L^L] of the wired triple, on a cavity and on a
+    two-level atom.  The pulse starts 8 sigma after t = 0, so the pre-t0
+    pulse mass that the source misses is ~1e-15; the measured gaps, <= 4e-7,
+    come from the source's W_CUTOFF clamp."""
 
     PULSE = GaussianPulse(t0=8.0, sigma=1.0)
+
+    def compare(self, system, op, field):
+        """Flux and E[op] of both routes, and the hierarchy's photon count."""
+        v = np.array(field) / np.linalg.norm(field)
+        ts = np.linspace(0.0, 18.0, 91)
+        tol = dict(rtol=1e-10, atol=1e-12)
+
+        hier = fock_hierarchy(system, self.PULSE, np.outer(v, v.conj()))
+        times, states = evolve_hierarchy(hier, ground(system), (0.0, 18.0), ts, **tol)
+        flux_h = hier.mean_photon_flux(states, times)
+
+        wired = series(system, fock_source(len(v) - 1, self.PULSE, label="src"))
+        rho0 = product_density(wired.space, {"src": v})
+        traj = evolve_density(liouvillian(wired), rho0, (0.0, 18.0), ts, truncation_guard=None, **tol)
+        flux_s = traj.expect(sum((L.dag() * L for L in wired.L), zero(wired.space)))
+
+        # every photon of the field leaves the system or is still in it
+        photons = np.vdot(v, np.arange(len(v)) * v).real
+        left = states[-1].expect(op.dag() * op).real
+        assert abs(simpson(flux_h, x=times) + left - photons) < 1e-6
+        assert np.abs(flux_h - flux_s).max() < 1e-6
+        assert np.abs(states.expect(op) - traj.expect(op)).max() < 1e-6
+        return traj.expect(op)
 
     @pytest.mark.parametrize("field", [
         [0.0, 1.0],
@@ -161,24 +185,11 @@ class TestWiredSourceOracle:
         [0.0, 1.0, 1.0j],
     ], ids=["n=1", "n=2", "1+2", "1+i2"])
     def test_flux_and_amplitude_agree(self, field):
-        v = np.array(field) / np.linalg.norm(field)
-        cav = one_sided_cavity(1.0, 0.3, truncation=5, label="cav")
-        a = destroy("cav", 5)
-        ts = np.linspace(0.0, 18.0, 91)
-        tol = dict(rtol=1e-10, atol=1e-12)
+        self.compare(one_sided_cavity(1.0, 0.3, truncation=5, label="cav"), destroy("cav", 5), field)
 
-        hier = fock_hierarchy(cav, self.PULSE, np.outer(v, v.conj()))
-        times, states = evolve_hierarchy(hier, ground(cav), (0.0, 18.0), ts, **tol)
-        flux_h = hier.mean_photon_flux(states, times)
-
-        wired = series(cav, fock_source(len(v) - 1, self.PULSE, label="src"))
-        rho0 = product_density(wired.space, {"src": v})
-        traj = evolve_density(liouvillian(wired), rho0, (0.0, 18.0), ts, truncation_guard=None, **tol)
-        flux_s = traj.expect(sum((L.dag() * L for L in wired.L), zero(wired.space)))
-
-        # every photon of the field leaves the cavity or is still in it
-        photons = np.vdot(v, np.arange(len(v)) * v).real
-        left = states[-1].expect(a.dag() * a).real
-        assert abs(simpson(flux_h, x=times) + left - photons) < 1e-6
-        assert np.abs(flux_h - flux_s).max() < 1e-6
-        assert np.abs(states.expect(a) - traj.expect(a)).max() < 1e-6
+    @pytest.mark.parametrize("field", [[0.0, 1.0], [0.0, 1.0, 1.0j]], ids=["n=1", "1+i2"])
+    def test_atom_flux_and_coherence_agree(self, field):
+        sm = sigma_minus("q")
+        coherence = np.abs(self.compare(SLHTriple(1, [sm], 0.0), sm, field)).max()
+        # a Fock input carries no phase; |1> + i|2> drives <sigma-> up to 0.28
+        assert (coherence > 0.1) == (len(field) > 2)

@@ -242,8 +242,21 @@ class TestElaboration:
                           + ph * L2.dag() * L6 - np.conj(ph) * L2 * L6.dag())
         )
         assert op_close(g.H, want_h, 1e-10)
-        assert res.input_labels == ["right_in", "left_in"]
-        assert res.output_labels == ["left_out", "right_out"]
+        assert g.input_names == ("right_in", "left_in")
+        assert g.output_names == ("left_out", "right_out")
+
+    def test_surviving_ports_keep_their_label_else_their_instance_port(self):
+        g = elaborate(parse(
+            "component ps = phase_shifter(phi=0.0);\n"
+            "component bs = beamsplitter(eta=0.3);\n"
+            "component c1 = one_sided_cavity(gamma=1.0, truncation=3);\n"
+            "wire ps.out[1] -> ps.in[1];\n"
+            "wire bs.out[2] -> c1.in[1];\n"
+            "expose bs.in[2] as probe;\n"
+            "expose c1.out[1] as refl;"
+        )).triple
+        assert g.input_names == ("bs.in[1]", "probe")
+        assert g.output_names == ("bs.out[1]", "refl")
 
     def test_declaration_order_insensitive(self):
         text_a = (
@@ -271,9 +284,9 @@ class TestElaboration:
         res_b = elaborate(nd_b)
         from slhnet.slh import permute_ports
 
-        sig_in = [res_b.input_labels.index(lbl) + 1 for lbl in res_a.input_labels]
-        sig_out = [res_b.output_labels.index(lbl) + 1 for lbl in res_a.output_labels]
         gb = res_b.triple
+        sig_in = [gb.input_names.index(lbl) + 1 for lbl in res_a.triple.input_names]
+        sig_out = [gb.output_names.index(lbl) + 1 for lbl in res_a.triple.output_names]
         # route b's port k to a's position: invert the label lookup
         inv_in = [0] * len(sig_in)
         inv_out = [0] * len(sig_out)
