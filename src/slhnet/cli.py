@@ -27,12 +27,12 @@ from .dynamics import (
     DEFAULT_RTOL,
     FockHierarchy,
     _check_truncation,
+    _driven,
     evolve_density,
     evolve_hierarchy,
     fock_hierarchy,
     format_value,
     liouvillian,
-    liouvillian_coherent,
     liouvillian_gaussian,
     steady_state,
     trajectory_csv,
@@ -227,13 +227,16 @@ def _write(text: str, out: str | None):
 
 
 def _drives(args) -> dict:
-    """``--drive port=spec`` items, port label -> (kind, kwargs)."""
+    """``--drive port=spec`` items, port label -> (spec text, (kind, kwargs));
+    a port named twice is refused."""
     drives = {}
-    for spec in args.drive or []:
-        if "=" not in spec:
-            raise SLHNetError(f"--drive needs port=spec, got {spec!r}")
-        label, rhs = spec.split("=", 1)
-        drives[label.strip()] = parse_drive_spec(rhs.strip())
+    for item in args.drive or []:
+        if "=" not in item:
+            raise SLHNetError(f"--drive needs port=spec, got {item!r}")
+        label, text = (part.strip() for part in item.split("=", 1))
+        if label in drives:
+            raise SLHNetError(f"--drive names port {label!r} twice")
+        drives[label] = (text, parse_drive_spec(text))
     return drives
 
 
@@ -257,38 +260,43 @@ def cmd_compose(args) -> int:
     return 0
 
 
-def _build_generator(res, drives):
-    """The master-equation generator, or the Fock hierarchy for a fock drive."""
-    g = res.triple
-    nonvac = {k: v for k, v in drives.items() if v[0] != "vacuum"}
-    if len(nonvac) > 1:
-        raise SLHNetError("only one non-vacuum drive port is supported")
-    if not nonvac:
-        return liouvillian(g)
-    label, (kind, kwargs) = next(iter(nonvac.items()))
+def _build_generator(g, drives):
+    """The driven triple, ``g`` with every coherent drive wired in, and its
+    generator: the vacuum Liouvillian, or for the one fock or gaussian
+    drive a run may have, the Fock hierarchy or the Gaussian-input
+    generator of the driven triple."""
     ports = list(g.input_names)
-    if label not in ports:
-        raise SLHNetError(f"drive port {label!r} is not an exposed input ({ports})")
-    port = ports.index(label) + 1
-    if kind == "coherent":
-        alpha = kwargs.get("alpha", 1.0)
-        if "envelope" in kwargs:
-            alpha = ScaledEnvelope(alpha, kwargs["envelope"])
-        return liouvillian_coherent(g, alpha, port=port)
+    coherent, field = {}, {}
+    for label, (_, (kind, kwargs)) in drives.items():
+        if label not in ports:
+            raise SLHNetError(f"drive port {label!r} is not an exposed input ({ports})")
+        if kind == "coherent":
+            alpha = kwargs.get("alpha", 1.0)
+            if "envelope" in kwargs:
+                alpha = ScaledEnvelope(alpha, kwargs["envelope"])
+            coherent[ports.index(label) + 1] = alpha
+        elif kind != "vacuum":
+            field[label] = (kind, kwargs)
+    if len(field) > 1:
+        raise SLHNetError("a run takes at most one fock or gaussian drive")
+    driven = _driven(g, coherent)
+    if not field:
+        return driven, liouvillian(driven)
+    label, (kind, kwargs) = field.popitem()
     if kind == "gaussian":
         env = GaussianEnv(N=kwargs.get("N", 0.0), M=kwargs.get("M", 0.0), alpha=kwargs.get("alpha"))
-        return liouvillian_gaussian(g, env)
-    if kind == "fock":
-        if "envelope" not in kwargs:
-            raise SLHNetError("fock drives need an envelope(...)")
-        return fock_hierarchy(g, kwargs["envelope"], kwargs.get("n", 1), driven_port=port)
-    raise SLHNetError(f"unknown drive kind {kind!r}")
+        return driven, liouvillian_gaussian(driven, env)
+    if "envelope" not in kwargs:
+        raise SLHNetError("fock drives need an envelope(...)")
+    port = driven.input_names.index(label) + 1
+    return driven, fock_hierarchy(driven, kwargs["envelope"], kwargs.get("n", 1), driven_port=port)
 
 
 def _run_simulation(res, args, drives):
+    """The driven triple, the sample times and one column per observable."""
     t_eval = np.linspace(args.t0, args.t1, _count(args.samples, "--samples"))
-    gen = _build_generator(res, drives)
-    obs_ops = _observables(args, res.triple.space)
+    triple, gen = _build_generator(res.triple, drives)
+    obs_ops = _observables(args, triple.space)
     run = dict(method=args.method, dt=args.dt, atol=args.atol, rtol=args.rtol,
                truncation_guard=None if args.no_guard else args.trunc_guard)
     fock = isinstance(gen, FockHierarchy)
@@ -300,7 +308,7 @@ def _run_simulation(res, args, drives):
     columns = {name: list(traj.expect(op)) for name, op in obs_ops.items()}
     if fock:
         columns["flux"] = list(gen.mean_photon_flux(traj, times))
-    return times, columns
+    return triple, times, columns
 
 
 def cmd_simulate(args) -> int:
@@ -313,6 +321,7 @@ def cmd_simulate(args) -> int:
             return
         meta = {
             "triple_sha256": triple_hash(triple),
+            "drives": {label: text for label, (text, _) in drives.items()},
             "tolerances": {"atol": args.atol, "rtol": args.rtol},
             "determinism": "fixed-step, byte-reproducible" if args.method == "fixed" else "adaptive",
             "schema_version": SCHEMA_VERSION,
@@ -335,13 +344,12 @@ def cmd_simulate(args) -> int:
             k, value = k_value
             nd_k = copy.deepcopy(nd)
             nd_k.instance(inst_name).params[param] = float(value)
-            res_k = elaborate(nd_k)
-            times, columns = _run_simulation(res_k, args, drives)
+            triple, times, columns = _run_simulation(elaborate(nd_k), args, drives)
             suffix = f"_{k:03d}"
             base = args.output or "sweep.csv"
             root, dot, ext = base.rpartition(".")
             out = (root + suffix + dot + ext) if dot else base + suffix
-            emit(res_k.triple, times, columns, out)
+            emit(triple, times, columns, out)
             return out
 
         with ThreadPoolExecutor(max_workers=min(len(values), os.cpu_count() or 1)) as pool:
@@ -349,20 +357,18 @@ def cmd_simulate(args) -> int:
         print("\n".join(outs))
         return 0
 
-    times, columns = _run_simulation(res, args, drives)
-    emit(res.triple, times, columns, args.output)
+    emit(*_run_simulation(res, args, drives), args.output)
     return 0
 
 
 def cmd_steady_state(args) -> int:
-    res = _compose(args.file)
-    gen = _build_generator(res, _drives(args))
+    triple, gen = _build_generator(_compose(args.file).triple, _drives(args))
     if isinstance(gen, FockHierarchy):
         raise SLHNetError("steady-state supports vacuum, coherent and gaussian drives only")
     ss = steady_state(gen)
     _check_truncation(ss.rho.space, ss.rho.constant().diagonal().real, TRUNC_GUARD, "in the steady state")
     lines = [
-        f"{name},{format_value(ss.expect(op))}" for name, op in _observables(args, res.triple.space).items()
+        f"{name},{format_value(ss.expect(op))}" for name, op in _observables(args, triple.space).items()
     ]
     _write("observable,value\n" + "\n".join(lines) + "\n", args.output)
     return 0

@@ -6,7 +6,7 @@ integrated on its isometric real coordinates (``_RealCoordinates``).
 Builders:
 
 * ``liouvillian``            -- vacuum-input Lindblad generator
-* ``liouvillian_coherent``   -- coherent drive on one designated port
+* ``liouvillian_coherent``   -- coherent drive on one input port
 * ``liouvillian_gaussian``   -- stationary Gaussian (thermal/squeezed) input
 * ``fock_hierarchy``         -- coupled generalized-state equations for
                                 Fock-state wavepacket inputs
@@ -14,7 +14,8 @@ Builders:
 A drive amplitude alpha(t) on port j is a wire: the displacement source
 ``(1, alpha, 0)`` fed into port j by the composition algebra gives
 ``(S, L + S_:j alpha, H + Im(L^ S_:j alpha))``, and the generator is that
-triple's vacuum Liouvillian.  The coherent drive, the Gaussian mean field
+triple's vacuum Liouvillian.  ``_driven`` wires one source per driven
+port, on any set of ports.  The coherent drive, the Gaussian mean field
 and the hierarchy's wavepacket coupling all read it off there; its
 time-dependent terms are one per merged coefficient (alpha, alpha* and
 |alpha|^2).  Every sandwich rho -> A rho B comes from ``_sandwich``, and
@@ -471,14 +472,25 @@ def liouvillian(g: SLHTriple) -> Superoperator:
     return sum((_sandwich(space, L, L.dag()) for L in g.L), out)
 
 
-def _driven(g: SLHTriple, alpha, port: int) -> SLHTriple:
-    """``g`` with the displacement source (1, alpha(t), 0) wired into input ``port``."""
-    if not 1 <= port <= g.n_ports:
-        raise ValidationError(f"port {port} out of range 1..{g.n_ports}")
-    env = as_envelope(alpha)
-    if isinstance(env, ConstantAmplitude) and not np.isfinite(env.value):
-        raise ValidationError(f"drive amplitude must be finite, got {env.value}")
-    return feedback_multi(concat(coherent_source(env), g, check=False), [(1, port + 1)], check=False).triple
+def _driven(g: SLHTriple, amplitudes: Mapping[int, object]) -> SLHTriple:
+    """``g`` with a displacement source (1, alpha_j(t), 0) wired into each
+    input port j of ``amplitudes`` (port -> alpha_j).  The sources come
+    first, in port order, in one ``concat`` closed by one ``feedback_multi``;
+    each source's input keeps the name of the port it feeds.  No
+    amplitudes leave ``g`` as it is."""
+    if not amplitudes:
+        return g
+    ports = sorted(amplitudes)
+    sources = []
+    for port in ports:
+        if not 1 <= port <= g.n_ports:
+            raise ValidationError(f"port {port} out of range 1..{g.n_ports}")
+        env = as_envelope(amplitudes[port])
+        if isinstance(env, ConstantAmplitude) and not np.isfinite(env.value):
+            raise ValidationError(f"drive amplitude must be finite, got {env.value}")
+        sources.append(coherent_source(env).with_names(input_names=(g.input_names[port - 1],)))
+    wires = [(k + 1, len(ports) + port) for k, port in enumerate(ports)]
+    return feedback_multi(concat(*sources, g, check=False), wires, check=False).triple
 
 
 def liouvillian_coherent(g: SLHTriple, alpha, port: int = 1) -> Superoperator:
@@ -489,7 +501,7 @@ def liouvillian_coherent(g: SLHTriple, alpha, port: int = 1) -> Superoperator:
     (S_:j rho S_:j^ - rho) to the vacuum generator of ``g``; a
     time-dependent alpha gives one term for each of the three products.
     """
-    return liouvillian(_driven(g, alpha, port))
+    return liouvillian(_driven(g, {port: alpha}))
 
 
 def _require_scalar_phase(g: SLHTriple) -> complex:
@@ -523,7 +535,7 @@ def liouvillian_gaussian(g: SLHTriple, env: GaussianEnv) -> Superoperator:
     L = g.L[0]
     if not L.is_static:
         raise UnsupportedConfigurationError("coupling driven by a Gaussian field must be time independent here")
-    out = liouvillian(g if env.alpha is None else _driven(g, env.alpha, 1))
+    out = liouvillian(g if env.alpha is None else _driven(g, {1: env.alpha}))
     if env.N:
         out = out + env.N * (lindblad_dissipator(space, L) + lindblad_dissipator(space, L.dag()))
     if M:
@@ -712,7 +724,7 @@ class FockHierarchy(Superoperator):
         envelope.check_normalized()
         if not g.is_static():
             raise UnsupportedConfigurationError("the Fock hierarchy needs a static triple")
-        self._driven = _driven(g, envelope, driven_port)
+        self._driven = _driven(g, {driven_port: envelope})
         self._output_rate = sum((L.dag() * L for L in self._driven.L), zero(g.space))
         driven = liouvillian(self._driven)
         if np.ndim(field_coeffs) == 0:

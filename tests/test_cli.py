@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from slhnet.cli import main
+from slhnet.dynamics import _driven
 from slhnet.netlang import elaborate, parse
 from slhnet.slh import triple_hash
 
@@ -386,10 +387,13 @@ class TestOtherCommands:
             (["simulate", "--t1", "1", "--method", "fixed", "--dt", "0.1", "--drive",
               "drive=coherent(alpha=1e999, envelope=gaussian(t0=1, sigma=1))"], 1, "error: ",
              "trace drifted to nan"),
+            (["simulate", "--t1", "1", "--drive", "drive=coherent(alpha=0.1)", "--drive",
+              "drive = coherent(alpha=0.2)"], 1, "error: ", "--drive names port 'drive' twice"),
         ],
         ids=["alpha-not-a-number", "N-not-a-number", "alpha-infinite", "unknown-drive-parameter",
              "observable-cut-short", "fock-negative-n", "fock-fractional-n", "dt-nan",
-             "atol-negative", "rtol-negative", "pulse-infinite-adaptive", "pulse-infinite-fixed"],
+             "atol-negative", "rtol-negative", "pulse-infinite-adaptive", "pulse-infinite-fixed",
+             "drive-port-twice"],
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the infinite pulses make NaN
     def test_malformed_input_is_one_error_line(self, argv, code, prefix, needle, capsys):
@@ -406,3 +410,141 @@ class TestOtherCommands:
         assert out.returncode == 0
         assert "slhnet 0.1.0" in out.stdout
         assert "schema v1" in out.stdout
+
+
+class TestDrives:
+    """Coherent drives wire into the triple on any set of ports; a run
+    takes at most one fock or gaussian drive beside them."""
+
+    TWO_PORT = ["--drive", "drive=coherent(alpha=0.2)", "--drive", "vac=coherent(alpha=0.1j)"]
+
+    @staticmethod
+    def _linear_amplitudes(u):
+        """-A^-1 B u for beamsplitter_cascade driven by u on its ports
+        (drive, vac): the steady <c1.a>, <c2.a> of the linear model."""
+        from slhnet.linear import extract_linear
+
+        g = elaborate(parse((NETWORKS / "beamsplitter_cascade.qnet").read_text())).triple
+        model = extract_linear(g)
+        assert g.input_names == ("drive", "vac") and model.mode_labels == ("c1", "c2")
+        return -np.linalg.solve(model.A, model.B @ np.array(u))
+
+    @pytest.mark.parametrize("command", [["steady-state"], ["simulate", "--t1", "40", "--samples", "3"]],
+                             ids=["steady-state", "simulate"])
+    def test_two_port_drive_matches_the_linear_model(self, command, capsys):
+        code, out, err = run_cli([command[0], NETWORKS / "beamsplitter_cascade.qnet", *command[1:],
+                                  *self.TWO_PORT, "--observables", "c1.a,c2.a"], capsys)
+        assert (code, err) == (0, "")
+        last = out.strip().split("\n")[-1].split(",")[-2:] if command[0] == "simulate" else [
+            line.split(",")[1] for line in out.strip().split("\n")[1:]]
+        got = np.array([complex(*map(float, v.split(":"))) for v in last])
+        # measured 1.5e-8 for both, steady-state and simulate at t = 40
+        assert np.abs(got - self._linear_amplitudes([0.2, 0.1j])).max() < 1e-7
+        # both drives count: either one alone lands elsewhere
+        for alone in ([0.2, 0.0], [0.0, 0.1j]):
+            assert np.abs(got - self._linear_amplitudes(alone)).max() > 1e-2
+
+    def test_two_port_fixed_step_is_byte_reproducible(self, capsys):
+        args = ["simulate", NETWORKS / "beamsplitter_cascade.qnet", "--t1", "2", "--samples", "5",
+                "--method", "fixed", "--dt", "0.01", *self.TWO_PORT, "--observables", "c1.a,c2.n"]
+        code1, out1, _ = run_cli(args, capsys)
+        code2, out2, _ = run_cli(args, capsys)
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+    @pytest.mark.parametrize("kappa_perp", ["0.0", "0.5"], ids=["fock_atom", "lossy_atom"])
+    def test_fock_drive_beside_a_coherent_one_matches_a_wired_source(self, kappa_perp, tmp_path, capsys):
+        # the hierarchy drives the guide; a wired fock_source network carries
+        # the same coherent drive on the loss port.  The routes differ by the
+        # pulse mass before the source starts emitting, so the two-drive gap
+        # is bounded by the single-drive gap on the same pulse (t0 = 4 sigma).
+        pulse = "envelope=gaussian(t0=4, sigma=1)"
+        atom = (NETWORKS / "fock_atom.qnet").read_text().replace("kappa_perp=0.0", f"kappa_perp={kappa_perp}")
+        hierarchy = tmp_path / "atom.qnet"
+        hierarchy.write_text(atom)
+        wired = tmp_path / "wired.qnet"
+        wired.write_text(
+            f"component src = fock_source(n=1, {pulse});\n"
+            f"component atom = tla_waveguide(kappa_g=1.0, kappa_perp={kappa_perp}, omega=0.0);\n"
+            "wire src.out[1] -> atom.in[1];\n"
+            "expose atom.in[2] as loss;\n"
+        )
+        run = ["simulate", "--t1", "10", "--samples", "41", "--observables", "atom.sz"]
+        coherent = ["--drive", "loss=coherent(alpha=0.2)"]
+
+        def column(path, *drives):
+            code, out, err = run_cli([run[0], path, *run[1:], *drives], capsys)
+            assert (code, err) == (0, "")
+            return np.array([float(row.split(",")[1]) for row in out.strip().split("\n")[1:]])
+
+        fock = ["--drive", f"guide=fock(n=1, {pulse})"]
+        single = np.abs(column(hierarchy, *fock) - column(wired)).max()
+        both = column(hierarchy, *fock, *coherent)
+        gap = np.abs(both - column(wired, *coherent)).max()
+        # measured: single 4.9e-5 / 2.9e-5, both 4.9e-5 / 2.4e-5 (kappa_perp 0 / 0.5)
+        assert single < 1e-4
+        assert gap <= single
+        if kappa_perp != "0.0":  # the loss port couples: the coherent drive shows
+            assert np.abs(both - column(hierarchy, *fock)).max() > 0.05
+
+    def test_pulsed_coherent_drive_beside_a_fock_drive_exits_1(self, capsys):
+        code, out, err = run_cli(
+            ["simulate", NETWORKS / "fock_atom.qnet", "--t1", "1",
+             "--drive", "guide=fock(n=1, envelope=gaussian(t0=4, sigma=1))",
+             "--drive", "loss=coherent(alpha=0.2, envelope=gaussian(t0=2, sigma=1))"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: the Fock hierarchy needs a static triple\n"
+
+    @pytest.mark.parametrize("second", ["fock(n=1, envelope=gaussian(t0=4, sigma=1))", "gaussian(N=0.1)"])
+    def test_second_fock_or_gaussian_drive_exits_1(self, second, capsys):
+        code, out, err = run_cli(
+            ["simulate", NETWORKS / "fock_atom.qnet", "--t1", "1",
+             "--drive", "guide=fock(n=1, envelope=gaussian(t0=4, sigma=1))", "--drive", f"loss={second}"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: a run takes at most one fock or gaussian drive\n"
+
+    def test_json_hashes_the_driven_triple_and_records_the_drives(self, capsys):
+        g = elaborate(parse((NETWORKS / "driven_cavity.qnet").read_text())).triple
+        metas = {}
+        for alpha in (0.1, 0.3):
+            code, out, _ = run_cli(
+                ["simulate", NETWORKS / "driven_cavity.qnet", "--t1", "1", "--samples", "3", "--format", "json",
+                 "--drive", f"drive=coherent(alpha={alpha})"],
+                capsys,
+            )
+            assert code == 0
+            metas[alpha] = json.loads(out)["metadata"]
+            assert metas[alpha]["triple_sha256"] == triple_hash(_driven(g, {1: alpha}))
+            assert metas[alpha]["drives"] == {"drive": f"coherent(alpha={alpha})"}
+        assert metas[0.1]["triple_sha256"] != metas[0.3]["triple_sha256"]
+
+    def test_sweep_json_hashes_each_driven_triple(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            ["simulate", NETWORKS / "driven_cavity.qnet", "--t1", "1", "--samples", "3", "--format", "json",
+             "--drive", "drive=coherent(alpha=0.1)", "--sweep", "cav.gamma=1:3:2", "-o", tmp_path / "sweep.json"],
+            capsys,
+        )
+        assert code == 0
+        files = sorted(tmp_path.glob("sweep_*.json"))
+        nd = parse((NETWORKS / "driven_cavity.qnet").read_text())
+        for gamma, f in zip((1.0, 3.0), files, strict=True):
+            nd.instance("cav").params["gamma"] = gamma
+            meta = json.loads(f.read_text())["metadata"]
+            assert meta["triple_sha256"] == triple_hash(_driven(elaborate(nd).triple, {1: 0.1}))
+            assert meta["drives"] == {"drive": "coherent(alpha=0.1)"}
+
+    def test_json_records_each_drive_of_a_two_port_run(self, capsys):
+        code, out, _ = run_cli(
+            ["simulate", NETWORKS / "beamsplitter_cascade.qnet", "--t1", "1", "--samples", "3",
+             "--format", "json", *self.TWO_PORT],
+            capsys,
+        )
+        assert code == 0
+        meta = json.loads(out)["metadata"]
+        assert meta["drives"] == {"drive": "coherent(alpha=0.2)", "vac": "coherent(alpha=0.1j)"}
+        g = elaborate(parse((NETWORKS / "beamsplitter_cascade.qnet").read_text())).triple
+        assert meta["triple_sha256"] != triple_hash(g)

@@ -19,6 +19,7 @@ from slhnet.dynamics import (
     GaussianEnv,
     Superoperator,
     _RealCoordinates,
+    _driven,
     _sandwich,
     evolve_density,
     evolve_hierarchy,
@@ -154,28 +155,34 @@ def _operator_valued_two_port(rng, d=4):
     return SLHTriple(S, [0.7 * a + 0.2j * a.dag(), 0.4 * a], 0.3 * a.dag() * a + 0.1 * (a * a + a.dag() * a.dag()))
 
 
-def _dense_driven_generator(g, alpha, port, rho):
-    """-i[H, rho] + sum_i D[L_i] rho + alpha [S_:j rho, L^] + alpha* [L, rho S_:j^]
-    + |alpha|^2 (sum_i S_ij rho S_ij^ - rho), all in dense numpy."""
+def _dense_driven_generator(g, amplitudes, rho):
+    """-i[H, rho] + sum_i D[L_i] rho + [D_i rho, L_i^] + [L_i, rho D_i^]
+    + sum_i D_i rho D_i^ - |u|^2 rho, all in dense numpy, where D_i =
+    sum_j S_ij u_j is what the drive u (port j -> alpha_j) sends to output i."""
     H = g.H.toarray()
     out = -1j * (H @ rho - rho @ H)
     for i, L in enumerate(g.L):
         L = L.toarray()
         Ld = L.conj().T
-        S = g.S[i, port - 1].toarray()
-        Sd = S.conj().T
+        D = sum(g.S[i, j - 1].toarray() * alpha for j, alpha in amplitudes.items())
+        Dd = D.conj().T
         out += L @ rho @ Ld - 0.5 * (Ld @ L @ rho + rho @ Ld @ L)
-        out += alpha * (S @ rho @ Ld - Ld @ S @ rho) + np.conj(alpha) * (L @ rho @ Sd - rho @ Sd @ L)
-        out += abs(alpha) ** 2 * S @ rho @ Sd
-    return out - abs(alpha) ** 2 * rho
+        out += (D @ rho @ Ld - Ld @ D @ rho) + (L @ rho @ Dd - rho @ Dd @ L)
+        out += D @ rho @ Dd
+    return out - sum(abs(alpha) ** 2 for alpha in amplitudes.values()) * rho
 
 
 class TestDriveOracle:
     """The wired-source generator against the drive formula in dense numpy."""
 
-    @pytest.mark.parametrize("case, port", [("operator_S", 1), ("operator_S", 2), ("fabry_perot", 2)])
+    @pytest.mark.parametrize("case, port", [
+        ("operator_S", 1), ("operator_S", 2), ("fabry_perot", 2),
+        pytest.param("operator_S", "both", id="operator_S-both"),
+        pytest.param("fabry_perot", "both", id="fabry_perot-both"),
+    ])
     @pytest.mark.parametrize("pulsed", [False, True], ids=["constant", "gaussian"])
     def test_matches_dense_drive_formula(self, rng, case, port, pulsed):
+        # "both": alpha on port 2 beside a constant drive on port 1
         from slhnet.components import fabry_perot
         from slhnet.envelopes import ScaledEnvelope
 
@@ -185,11 +192,57 @@ class TestDriveOracle:
         rho = x @ x.conj().T
         rho /= np.trace(rho)
         alpha = ScaledEnvelope(0.4 - 0.3j, GaussianPulse(t0=2.0, sigma=0.8)) if pulsed else 0.3 - 0.2j
-        gen = liouvillian_coherent(g, alpha, port=port)
+        drives = {2: alpha, 1: 0.1 + 0.25j} if port == "both" else {port: alpha}
+        gen = liouvillian(_driven(g, drives)) if port == "both" else liouvillian_coherent(g, alpha, port=port)
         for t in (0.0, 0.9, 2.0, 2.7, 4.0) if pulsed else (0.0,):
-            a = alpha(t) if pulsed else alpha
+            u = {j: a(t) if pulsed and a is alpha else a for j, a in drives.items()}
             got = (gen.matrix(t) @ rho.reshape(-1)).reshape(d, d)
-            assert np.abs(got - _dense_driven_generator(g, a, port, rho)).max() <= 1e-12
+            assert np.abs(got - _dense_driven_generator(g, u, rho)).max() <= 1e-12
+
+
+class TestDrivenTriple:
+    """``_driven`` wires one displacement source per driven port."""
+
+    def _cascade(self):
+        return elaborate(parse((NETWORKS / "beamsplitter_cascade.qnet").read_text())).triple
+
+    def test_port_names_survive_the_wiring(self):
+        g = self._cascade()
+        assert g.input_names == ("drive", "vac")
+        assert _driven(g, {1: 0.2}).input_names == ("drive", "vac")
+        assert _driven(g, {1: 0.2, 2: 0.1j}).input_names == ("drive", "vac")
+        assert _driven(g, {}) is g
+
+    def test_drive_on_port_2_moves_its_source_first(self):
+        # the sources lead the concat, so the driven port comes first
+        g = self._cascade()
+        driven = _driven(g, {2: 0.1j})
+        assert driven.input_names == ("vac", "drive")
+        assert driven.output_names == g.output_names
+        # the columns of S swap with the ports they belong to
+        for i in range(g.n_ports):
+            assert op_close(driven.S[i, 0], g.S[i, 1])
+            assert op_close(driven.S[i, 1], g.S[i, 0])
+
+    def test_one_entry_is_the_single_wire(self, rng):
+        from slhnet.slh import feedback_multi
+
+        g = _operator_valued_two_port(rng)
+        for port in (1, 2):
+            wired = feedback_multi(concat(coherent_source(0.3 - 0.2j), g, check=False),
+                                   [(1, port + 1)], check=False).triple
+            got, want = liouvillian(_driven(g, {port: 0.3 - 0.2j})).static, liouvillian(wired).static
+            assert (got != want).nnz == 0
+
+    def test_order_of_the_amplitudes_does_not_matter(self, rng):
+        g = _operator_valued_two_port(rng)
+        a = liouvillian(_driven(g, {1: 0.2, 2: -0.1j})).static
+        b = liouvillian(_driven(g, {2: -0.1j, 1: 0.2})).static
+        assert (a != b).nnz == 0
+
+    def test_port_out_of_range(self):
+        with pytest.raises(ValidationError, match="port 3 out of range 1..2"):
+            _driven(self._cascade(), {1: 0.2, 3: 0.2})
 
 
 class TestTermCounts:
