@@ -655,8 +655,9 @@ def _factor(A) -> tuple[spla.SuperLU | None, float]:
 def _entries(m: sp.csr_matrix) -> list:
     """``[row, col, re, im]`` of every stored entry, in row-major order."""
     c = m.tocoo()
-    return [[int(c.row[k]), int(c.col[k]), float(c.data[k].real), float(c.data[k].imag)]
-            for k in np.lexsort((c.col, c.row))]
+    k = np.lexsort((c.col, c.row))
+    return list(map(list, zip(c.row[k].tolist(), c.col[k].tolist(),
+                              c.data.real[k].tolist(), c.data.imag[k].tolist())))
 
 
 def _from_entries(entries, d: int) -> sp.csr_matrix:
@@ -688,8 +689,8 @@ def operator_from_dict(data: dict, envelopes: dict | None = None) -> Operator:
     return Operator(space, _from_entries(data["entries"], d), terms)
 
 
-def operator_to_json(op: Operator, **kwargs) -> str:
-    return json.dumps(operator_to_dict(op), **kwargs)
+def operator_to_json(op: Operator) -> str:
+    return json.dumps(operator_to_dict(op))
 
 
 def operator_from_json(text: str) -> Operator:

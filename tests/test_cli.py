@@ -9,7 +9,8 @@ import pytest
 from slhnet.cli import main
 from slhnet.dynamics import _driven
 from slhnet.netlang import elaborate, parse
-from slhnet.slh import triple_hash
+from slhnet.reduction import eliminate_triple, projector_from_states
+from slhnet.slh import triple_hash, triple_to_dict
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
@@ -31,6 +32,20 @@ class TestCompose:
             code, out, _ = run_cli(["compose", NETWORKS / f"{name}.qnet"], capsys)
             assert code == 0, name
             assert out == golden.read_text(), f"{name}: compose output differs from the golden bytes"
+
+    def test_triple_hash_of_shipped_networks(self):
+        want = {
+            "beamsplitter_cascade": "ea275ad50e52a45de5dce7e8c99b0f01158caa90ff1f3d2160d7a6f8f253d6ad",
+            "driven_cavity": "db092aefb29e87605c6e7cdad311bfa4eb8e5242683880bc1bc745dc2f85dcf8",
+            "fock_atom": "f82d2610a4057a55745b6fec0191aceb6b7f8848538362a92300badb54b47f5d",
+            "jc_cavity": "f05abbe0276701262664546864dd01d740738e147f4e781b9e4c7b45201445a8",
+            "opo_feedback": "730b0b1a9547a1d066b2585f52e5e2ccc93c18ab2d82d755bc53b397495ff69b",
+            "two_cavity_cascade": "d09ba22ece077aae79743c70f3874f3421862c99c77f055014478fbdf87b4662",
+            "vec_elim_loop": "c5110e3b61f76245fff3ac01ed1a406cb5e13c39d89d8871edea66e9c3cc2b7b",
+        }
+        got = {p.stem: triple_hash(elaborate(parse(p.read_text())).triple)
+               for p in sorted(NETWORKS.glob("*.qnet"))}
+        assert got == want
 
     def test_emit_ast(self, capsys):
         code, out, _ = run_cli(["compose", "--emit", "ast", NETWORKS / "two_cavity_cascade.qnet"], capsys)
@@ -325,6 +340,10 @@ class TestOtherCommands:
         assert code == 0
         data = json.loads(out)
         assert data["space"]["labels"] == ["jc.qubit"]
+        g = elaborate(parse((NETWORKS / "jc_cavity.qnet").read_text())).triple
+        P0 = projector_from_states(g.space, {"jc.mode": 0, "jc.qubit": None})
+        reduced = eliminate_triple(g, P0, unitarity_tol=1e-2)
+        assert out == json.dumps(triple_to_dict(reduced), indent=2) + "\n"
 
     def test_check_reports_ok(self, capsys):
         code, out, _ = run_cli(["check", NETWORKS / "beamsplitter_cascade.qnet"], capsys)

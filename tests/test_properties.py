@@ -1,10 +1,11 @@
-"""Randomized properties of the compose layer: embedding, concatenation
-and the network language's error contract.
+"""Randomized properties of the compose layer: embedding, concatenation,
+the JSON writer and the network language's error contract.
 
 Examples are derandomized and few, so the suite stays fast and every run
 draws the same cases.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from slhnet.envelopes import GaussianPulse, SquarePulse
 from slhnet.errors import CompositionError, SLHNetError
 from slhnet.hilbert import Coefficient, LabeledSpace, Operator, destroy, operator_from_json, operator_to_json
 from slhnet.netlang import _TOKEN, elaborate, parse
-from slhnet.slh import SLHTriple, concat, triple_to_json, triples_close
+from slhnet.slh import SLHTriple, _indent2, concat, triple_to_dict, triple_to_json, triples_close
 
 from conftest import random_hermitian, random_unitary
 
@@ -134,6 +135,35 @@ def test_nary_concat_checks_unchecked_parts(gs, bad, part):
         match = "anti-Hermitian"
     with pytest.raises(CompositionError, match=match):
         concat(*(broken if k == bad else x for k, x in enumerate(gs)))
+
+
+# Floats that the two encoders could print differently if they did not
+# share float.__repr__, and text that a replace on "," or "],[" would break.
+FLOATS = st.sampled_from([-0.0, 5e-324, 1e16, 1e22, float("nan"), float("inf"), -float("inf")]) | st.floats()
+NUMBERS = st.integers() | FLOATS
+TEXT = st.text(st.sampled_from(',[]"\\ a\u00e9\u6f22\n'), max_size=6)
+ROWS = st.lists(st.lists(NUMBERS, max_size=4), max_size=4)
+MIXED_ROWS = st.lists(st.lists(NUMBERS | TEXT | st.booleans(), min_size=1, max_size=4), min_size=1, max_size=3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | TEXT | ROWS | MIXED_ROWS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(TEXT, kids, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(JSON_VALUES)
+@example([[1, 2.5], [-0.0, 5e-324]])
+@example({"entries": [[0, 1, 1e16, 1e22]], "terms": [], "rows": [[]], "x": [[1, "],["]]})
+def test_indent2_writer_matches_stdlib(value):
+    assert _indent2(value, "\n") == json.dumps(value, indent=2)
+
+
+@PROPERTY
+@given(three_triples())
+def test_triple_to_json_matches_stdlib(gs):
+    g = concat(*gs)
+    assert triple_to_json(g) == json.dumps(triple_to_dict(g), indent=2)
 
 
 @st.composite
