@@ -94,6 +94,11 @@ STEADY_GMRES_RTOL = 1e-12
 STEADY_GMRES_RESTART = 200
 STEADY_GMRES_MAXITER = 5
 
+#: largest side of a triangular Sylvester tile solved by LAPACK's unblocked
+#: ``ztrsyl``; the steady-state preconditioner's larger blocks are halved and
+#: coupled by matmuls
+SYLVESTER_TILE = 32
+
 #: default integrator tolerances (embedded Runge-Kutta 4(5))
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-8
@@ -108,15 +113,19 @@ def _negative_eigenvalue(herm: np.ndarray) -> float | None:
     ``herm`` holds (its strict upper triangle is never read), if it lies
     below ``-TOL_POSITIVITY``, else None.
 
-    A Cholesky factorization of ``herm + TOL_POSITIVITY I`` succeeds exactly
-    when no eigenvalue lies below ``-TOL_POSITIVITY``; ``eigvalsh`` runs only
-    when it fails, to confirm the violation and report the eigenvalue.
+    A Cholesky factorization of ``herm + TOL_POSITIVITY I`` (numpy's, lower
+    triangle) succeeds exactly when no eigenvalue lies below
+    ``-TOL_POSITIVITY``; ``eigvalsh`` runs only when it fails, to confirm the
+    violation and report the eigenvalue.  numpy's LAPACK, not scipy's: each
+    wheel bundles its own OpenBLAS with its own thread pool, and switching
+    pools right after dense work can stall (README, "BLAS threads").
     """
-    _, info = sla.lapack.zpotrf(herm + TOL_POSITIVITY * np.eye(len(herm)), lower=1)
-    if info == 0:
-        return None
-    w = float(np.linalg.eigvalsh(herm, UPLO="L").min())
-    return w if w < -TOL_POSITIVITY else None
+    try:
+        np.linalg.cholesky(herm + TOL_POSITIVITY * np.eye(len(herm)))
+    except np.linalg.LinAlgError:
+        w = float(np.linalg.eigvalsh(herm, UPLO="L").min())
+        return w if w < -TOL_POSITIVITY else None
+    return None
 
 
 def _require_state(m: np.ndarray, what: str) -> None:
@@ -1014,18 +1023,43 @@ def _sylvester_part(M: sp.spmatrix, d: int) -> np.ndarray:
     return P
 
 
+def _triangular_sylvester(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
+    """Overwrite ``C`` with the ``X`` of ``A X + X B^ = C``, ``A`` and ``B``
+    upper triangular, by recursive blocking (Jonsson & Kagstrom, ACM TOMS 28,
+    392 (2002)): the larger side is halved, the solved half's coupling moves
+    to the other half's right-hand side by one matmul, and LAPACK's
+    unblocked ``ztrsyl`` solves only tiles of at most ``SYLVESTER_TILE`` a
+    side, each with its own ``scale`` divided out."""
+    m, n = C.shape
+    if max(m, n) <= SYLVESTER_TILE:
+        # info = 1 (close eigenvalues, perturbed) still gives a preconditioner
+        y, scale, _ = sla.lapack.ztrsyl(A, B, C, tranb="C")
+        C[...] = y / scale
+    elif m >= n:
+        k = m // 2
+        _triangular_sylvester(A[k:, k:], B, C[k:])
+        C[:k] -= A[:k, k:] @ C[k:]
+        _triangular_sylvester(A[:k, :k], B, C[:k])
+    else:
+        k = n // 2
+        _triangular_sylvester(A, B[k:, k:], C[:, k:])
+        C[:, :k] -= C[:, k:] @ B[:k, k:].conj().T
+        _triangular_sylvester(A, B[:k, :k], C[:, :k])
+
+
 def _sylvester_inverse(P: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """``vec(R) -> vec(X)`` with ``P X + X P^ = R``, from one complex Schur
     form ``P = U T U^`` (Schur, not eigenvectors: ``H_eff`` may be
-    defective), so that each solve is ``T Y + Y T^ = U^ R U``."""
+    defective), so that each solve is ``T Y + Y T^ = U^ R U``
+    (``_triangular_sylvester``)."""
     d = P.shape[0]
     T, U = sla.schur(P, output="complex")
     UH = U.conj().T
 
     def solve(r: np.ndarray) -> np.ndarray:
-        # info = 1 (close eigenvalues, perturbed) still gives a preconditioner
-        y, scale, _ = sla.lapack.ztrsyl(T, T, UH @ r.reshape(d, d) @ U, tranb="C")
-        return (U @ y @ UH).reshape(-1) / scale
+        y = UH @ r.reshape(d, d) @ U
+        _triangular_sylvester(T, T, y)
+        return (U @ y @ UH).reshape(-1)
 
     return solve
 

@@ -25,10 +25,16 @@ from slhnet import slh
 from slhnet.cli import main
 from slhnet.components import one_sided_cavity
 from slhnet.dynamics import (
+    SYLVESTER_TILE,
+    DensityState,
     GaussianEnv,
     Superoperator,
+    _density_guard,
+    _negative_eigenvalue,
+    _RealCoordinates,
     _sylvester_inverse,
     _sylvester_part,
+    _triangular_sylvester,
     evolve_density,
     liouvillian,
     liouvillian_coherent,
@@ -36,9 +42,10 @@ from slhnet.dynamics import (
     spost,
     spre,
     steady_state,
+    vectorize,
 )
 from slhnet.envelopes import GaussianPulse
-from slhnet.errors import AlgebraicLoopError, SteadyStateError, ValidationError
+from slhnet.errors import AlgebraicLoopError, SteadyStateError, TraceDriftError, ValidationError
 from slhnet.hilbert import LabeledSpace, Operator, _factor, destroy, number, sigma_minus
 from slhnet.netlang import elaborate, parse
 from slhnet.slh import LOOP_SINGULARITY_TOL, SLHTriple, concat, feedback_multi, series, triples_close
@@ -478,6 +485,96 @@ class TestSylvesterPreconditioner:
         rebuilt = np.kron(P, np.eye(d)) + np.kron(np.eye(d), P.conj())
         want = sum(np.kron(m, m.conj()) for m in jumps)
         assert np.abs(M.toarray() - rebuilt - want).max() < 1e-12
+
+
+class TestTriangularSylvester:
+    """The recursive blocked solve of ``A X + X B^ = C`` gives LAPACK's
+    unblocked ``ztrsyl`` answer, on both sides of the tile size."""
+
+    def _triangular(self, rng, d):
+        # a spectrum in the left half-plane, as a no-jump part's
+        t = np.triu(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        t[np.diag_indices(d)] = -rng.uniform(0.5, 3.0, d) + 1j * rng.normal(size=d)
+        return t
+
+    def _check(self, A, B, C):
+        y, scale, _ = sla.lapack.ztrsyl(A, B, C, tranb="C")
+        want = y / scale
+        X = C.copy()
+        _triangular_sylvester(A, B, X)
+        assert np.abs(X - want).max() < 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d", [31, 32, 33, 64, 81, 100, 144])
+    def test_matches_ztrsyl(self, rng, d):
+        C = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        self._check(self._triangular(rng, d), self._triangular(rng, d), C)
+
+    def test_matches_ztrsyl_on_the_defective_cascade_schur_factor(self, rng):
+        # two identical cavities in cascade: H_eff is (nearly) a Jordan block
+        gen, _ = _driven_cascade((2.0, 0.5), (2.0, 0.5), 8)
+        d = gen.dim
+        T, _ = sla.schur(_sylvester_part(gen.static, d), output="complex")
+        assert d > SYLVESTER_TILE
+        self._check(T, T, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+
+    def test_inverse_round_trip_above_the_tile(self, rng):
+        space = LabeledSpace([("a", 7), ("b", 10)])
+        d = space.total_dim
+        assert d > 2 * SYLVESTER_TILE  # two levels of halving
+        X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) - 3 * np.sqrt(2 * d) * np.eye(d)
+        M = (spre(space, Operator(space, X)) + spost(space, Operator(space, X.conj().T))).static
+        solve = _sylvester_inverse(_sylvester_part(M, d))
+        v = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+        assert np.abs(solve(M @ v) - v).max() < 1e-12 * np.abs(v).max()
+
+
+def _state_with_smallest_eigenvalue(rng, d: int, w_min: float) -> np.ndarray:
+    """A unit-trace Hermitian d x d matrix whose smallest eigenvalue is w_min."""
+    w = rng.uniform(0.1, 1.0, d)
+    w[0] = 0.0
+    w *= (1.0 - w_min) / w.sum()
+    w[0] = w_min
+    U = random_unitary(rng, d)
+    return (U * w) @ U.conj().T
+
+
+class TestPositivity:
+    """``_negative_eigenvalue`` reads only the lower triangle, passes a dip
+    within ``TOL_POSITIVITY`` and refuses one past it by its eigenvalue."""
+
+    def _state(self, rng, w_min):
+        """A d = 6 state with smallest eigenvalue ``w_min``, its space and
+        its real coordinates."""
+        rho = _state_with_smallest_eigenvalue(rng, 6, w_min)
+        return rho, LabeledSpace([("q", 6)]), _RealCoordinates(6).project(vectorize(rho))
+
+    def _inputs(self, rho, x):
+        """The matrix a ``DensityState`` hands over and the trajectory
+        guard's ``coords.lower(x)``, as they are and with garbage or NaN in
+        the strict upper triangle."""
+        upper = np.triu_indices(len(rho), 1)
+        lower = _RealCoordinates(len(rho)).lower(x)
+        out = [rho, lower]
+        for m, junk in ((rho, 7.0 - 3.0j), (rho, np.nan), (lower, np.nan)):
+            m = m.copy()
+            m[upper] = junk
+            out.append(m)
+        return out
+
+    def test_dip_within_tolerance_passes(self, rng):
+        rho, space, x = self._state(rng, -0.5e-8)
+        assert all(_negative_eigenvalue(m) is None for m in self._inputs(rho, x))
+        DensityState(Operator(space, rho))
+        _density_guard(space, None)(0.0, x)
+
+    def test_dip_past_tolerance_is_refused_by_its_eigenvalue(self, rng):
+        rho, space, x = self._state(rng, -2e-8)
+        for m in self._inputs(rho, x):
+            assert _negative_eigenvalue(m) == pytest.approx(-2e-8, rel=1e-6)
+        with pytest.raises(ValidationError, match=r"negative eigenvalue -2\.000e-08"):
+            DensityState(Operator(space, rho))
+        with pytest.raises(TraceDriftError, match=r"negative eigenvalue -2\.000e-08 at t = 1\.5"):
+            _density_guard(space, None)(1.5, x)
 
 
 class TestSizeIndependence:
