@@ -13,6 +13,8 @@ below ``W_CUTOFF`` (the pulse has fully left the source by then).
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 from typing import Callable
 
@@ -28,11 +30,30 @@ NORM_TOL = 1e-6
 
 
 class Envelope:
-    """Base class: a scalar complex function of time with a known tail weight."""
+    """Base class: a scalar complex function of time with a known tail weight.
+
+    Envelopes compare and hash by the canonical JSON of :meth:`to_dict`;
+    an opaque envelope, which has no serialized form, equals only itself.
+    """
 
     name = "generic"
     #: constant envelopes fold into static matrices at construction time
     is_constant = False
+    #: real-valued at every t, so conj(f) is f
+    is_real = False
+
+    @functools.cached_property
+    def _key(self) -> str | None:
+        try:
+            return json.dumps(self.to_dict(), sort_keys=True)
+        except ConstructionError:
+            return None
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Envelope) and self._key is not None and self._key == other._key)
+
+    def __hash__(self):
+        return object.__hash__(self) if self._key is None else hash(self._key)
 
     def __call__(self, t: float) -> complex:
         raise NotImplementedError
@@ -82,6 +103,7 @@ class GaussianPulse(Envelope):
     """
 
     name = "gaussian"
+    is_real = True
 
     def __init__(self, t0: float, sigma: float | None = None, fwhm: float | None = None):
         if (sigma is None) == (fwhm is None):
@@ -111,6 +133,7 @@ class SquarePulse(Envelope):
     """Flat pulse on [t0, t1], normalized to unit square integral."""
 
     name = "square"
+    is_real = True
 
     def __init__(self, t0: float, t1: float):
         if not t1 > t0:
@@ -139,6 +162,7 @@ class ExpDecayPulse(Envelope):
     """xi(t) = sqrt(rate) exp(-rate (t - t0)/2) for t >= t0."""
 
     name = "exp_decay"
+    is_real = True
 
     def __init__(self, rate: float, t0: float = 0.0):
         if rate <= 0:
@@ -170,6 +194,7 @@ class ExpRisingPulse(Envelope):
     """
 
     name = "exp_rising"
+    is_real = True
 
     def __init__(self, rate: float, t1: float):
         if rate <= 0:
@@ -226,7 +251,11 @@ class ScaledEnvelope(Envelope):
 
     def __init__(self, scale: complex, base: Envelope):
         self.scale = complex(scale)
-        self.base = base
+        self.base = as_envelope(base)
+
+    @property
+    def is_real(self):
+        return self.scale.imag == 0.0 and self.base.is_real
 
     def __call__(self, t):
         return self.scale * self.base(t)

@@ -24,7 +24,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,9 +37,6 @@ TOL_OP = 1e-10
 
 #: default top-level population bound for oscillator factors
 TRUNC_GUARD = 1e-6
-
-#: default sample times used to validate time-dependent operators
-_DEFAULT_SAMPLE_TIMES = (0.0, 0.1, 0.5, 1.0, 3.0, 10.0)
 
 
 # --------------------------------------------------------------------------
@@ -135,9 +132,11 @@ class Coefficient:
     possibly conjugated.
 
     ``factors`` holds ``(f, conj)`` pairs in first-appearance order.
-    Equality and hash are those of the multiset of pairs (each envelope by
-    identity), so ``xi * conj(xi)`` equals ``conj(xi) * xi`` and terms
-    sharing a coefficient merge.  The empty product is 1.
+    Equality and hash are those of the multiset of pairs (envelopes by
+    value, other callables by identity), so ``xi * conj(xi)`` equals
+    ``conj(xi) * xi`` and terms sharing a coefficient merge.  ``xi`` and
+    ``conj(xi)`` stay distinct even for a real ``xi``; only
+    :meth:`function` identifies them.  The empty product is 1.
     """
 
     __slots__ = ("factors", "_key")
@@ -158,6 +157,12 @@ class Coefficient:
     def conj(self) -> "Coefficient":
         return Coefficient((f, not conj) for f, conj in self.factors)
 
+    def function(self) -> frozenset:
+        """The factor multiset with the conjugation dropped on real factors:
+        equal for coefficients that are the same function of time by
+        construction."""
+        return frozenset(Counter((f, conj and not getattr(f, "is_real", False)) for f, conj in self.factors).items())
+
     def __eq__(self, other):
         return isinstance(other, Coefficient) and self._key == other._key
 
@@ -174,24 +179,13 @@ class Coefficient:
         return {"shape": "product", "factors": [{"envelope": f.to_dict(), "conj": conj} for f, conj in self.factors]}
 
     @staticmethod
-    def from_dict(data: dict, envelopes: dict | None = None) -> "Coefficient":
-        """Inverse of :meth:`to_dict`.  ``envelopes`` maps the canonical JSON
-        of each envelope already read to its object, so equal envelope
-        dicts give one shared object and coefficients built from them
-        compare equal (and their terms merge) after a round trip."""
+    def from_dict(data: dict) -> "Coefficient":
+        """Inverse of :meth:`to_dict`."""
         from .envelopes import envelope_from_dict
 
-        envelopes = {} if envelopes is None else envelopes
-
-        def envelope(d):
-            key = json.dumps(d, sort_keys=True)
-            if key not in envelopes:
-                envelopes[key] = envelope_from_dict(d)
-            return envelopes[key]
-
         if data.get("shape") != "product":
-            return Coefficient([(envelope(data), False)])
-        return Coefficient((envelope(f["envelope"]), bool(f["conj"])) for f in data["factors"])
+            return Coefficient([(envelope_from_dict(data), False)])
+        return Coefficient((envelope_from_dict(f["envelope"]), bool(f["conj"])) for f in data["factors"])
 
 
 def _as_coefficient(coeff) -> Coefficient:
@@ -273,23 +267,23 @@ class Operator:
         return self.static
 
     def toarray(self, t: float | None = None) -> np.ndarray:
-        return (self.static if t is None and self.is_static else self.at(t or 0.0)).toarray()
+        return (self.constant() if t is None else self.at(t)).toarray()
 
-    def max_abs(self, times: Sequence[float] | None = None) -> float:
-        """Largest absolute matrix entry (over sample times if time dependent)."""
-        if self.is_static:
-            data = self.static.data
-            return float(np.abs(data).max()) if data.size else 0.0
-        times = _DEFAULT_SAMPLE_TIMES if times is None else times
-        best = 0.0
-        for t in times:
-            m = self.at(t)
-            if m.data.size:
-                best = max(best, float(np.abs(m.data).max()))
-        return best
+    def max_abs(self) -> float:
+        """Largest absolute entry of the static matrix and of each term
+        matrix, after summing the terms whose coefficients are the same
+        function (:meth:`Coefficient.function`).  Zero means the operator
+        vanishes at every t.  Distinct products that happen to be
+        dependent (a square pulse and its square) are not summed."""
+        groups = {}
+        for c, m in self.terms:
+            key = c.function()
+            groups[key] = groups[key] + m if key in groups else m
+        return max((float(np.abs(m.data).max()) for m in (self.static, *groups.values()) if m.data.size), default=0.0)
 
-    def is_hermitian(self, tol: float = TOL_OP, times: Sequence[float] | None = None) -> bool:
-        return (self - self.dag()).max_abs(times) <= tol
+    def is_hermitian(self, tol: float = TOL_OP) -> bool:
+        """Hermitian at every t, decided by :meth:`max_abs` of H - H^dag."""
+        return (self - self.dag()).max_abs() <= tol
 
     # -- algebra -----------------------------------------------------------
 
@@ -391,14 +385,9 @@ def commutator(x: Operator, y: Operator) -> Operator:
     return x * y - y * x
 
 
-def op_close(
-    x: Operator,
-    y: Operator,
-    tol: float = TOL_OP,
-    times: Sequence[float] | None = None,
-) -> bool:
-    """Max-norm equality of two operators, sampled in time if needed."""
-    return (x - y).max_abs(times) <= tol
+def op_close(x: Operator, y: Operator, tol: float = TOL_OP) -> bool:
+    """Max-norm equality of two operators at every t (see :meth:`Operator.max_abs`)."""
+    return (x - y).max_abs() <= tol
 
 
 @functools.lru_cache
@@ -611,7 +600,7 @@ def _top_populations(diag: np.ndarray, space: LabeledSpace) -> dict[str, float]:
 
 
 def trace(op: Operator, t: float | None = None) -> complex:
-    m = op.static if (t is None and op.is_static) else op.at(t or 0.0)
+    m = op.constant() if t is None else op.at(t)
     return complex(m.diagonal().sum())
 
 
@@ -678,13 +667,11 @@ def operator_to_dict(op: Operator) -> dict:
     return out
 
 
-def operator_from_dict(data: dict, envelopes: dict | None = None) -> Operator:
-    """Inverse of :func:`operator_to_dict`; ``envelopes`` is shared with
-    :meth:`Coefficient.from_dict` (one envelope object per distinct dict)."""
+def operator_from_dict(data: dict) -> Operator:
+    """Inverse of :func:`operator_to_dict`."""
     space = LabeledSpace(zip(data["labels"], data["dims"]))
     d = space.total_dim
-    envelopes = {} if envelopes is None else envelopes
-    terms = [(Coefficient.from_dict(t["coefficient"], envelopes), _from_entries(t["entries"], d))
+    terms = [(Coefficient.from_dict(t["coefficient"]), _from_entries(t["entries"], d))
              for t in data.get("terms", ())]
     return Operator(space, _from_entries(data["entries"], d), terms)
 

@@ -32,6 +32,7 @@ import scipy.sparse as sp
 from .errors import AlgebraicLoopError, CompositionError, ConstructionError
 from .hilbert import (
     TOL_OP,
+    Coefficient,
     LabeledSpace,
     Operator,
     _factor,
@@ -217,16 +218,31 @@ def _as_operator_grid(S) -> np.ndarray:
 
 
 def _symmetrized(H: Operator, tol: float) -> Operator:
-    """(H + H^dag)/2, but only when the anti-Hermitian residual is small.
+    """(H + H^dag)/2, but only when the anti-Hermitian residual is small
+    at every t (:meth:`Operator.max_abs`).
 
     A large residual is a formula bug upstream and is never silently
     repaired.
     """
     H_dag = H.dag()
-    resid = (H - H_dag).max_abs()
+    anti = H - H_dag
+    resid = anti.max_abs()
     if not resid <= tol:
-        raise CompositionError(f"Hamiltonian has anti-Hermitian residual {resid:.3e} > {tol:.1e}")
+        msg = f"Hamiltonian has anti-Hermitian residual {resid:.3e} > {tol:.1e}"
+        if Operator(H.space, None, [(c, m) for c, m in anti.terms if _opaque(c)]).max_abs() > tol:
+            msg += ("; a coefficient wrapping an opaque callable cannot be shown real:"
+                    " scale H by a built-in envelope (gaussian, square, exp_decay, exp_rising)")
+        raise CompositionError(msg)
     return (H + H_dag) * 0.5
+
+
+def _opaque(coeff: Coefficient) -> bool:
+    """Whether a factor of ``coeff`` wraps a callable with no serialized form."""
+    try:
+        coeff.to_dict()
+    except ConstructionError:
+        return True
+    return False
 
 
 # --------------------------------------------------------------------------
@@ -606,22 +622,18 @@ def feedback(g: SLHTriple, x: int, y: int, check: bool = True) -> FeedbackResult
 # comparison and serialization
 
 
-def triples_close(
-    a: SLHTriple,
-    b: SLHTriple,
-    tol: float = TOL_OP,
-    times: Sequence[float] | None = None,
-) -> bool:
-    """Operator-wise equality of two triples on the union of their spaces."""
+def triples_close(a: SLHTriple, b: SLHTriple, tol: float = TOL_OP) -> bool:
+    """Operator-wise equality of two triples on the union of their spaces,
+    at every t (:func:`op_close`)."""
     if a.n_ports != b.n_ports:
         return False
     for i in range(a.n_ports):
-        if not op_close(a.L[i], b.L[i], tol, times):
+        if not op_close(a.L[i], b.L[i], tol):
             return False
         for j in range(a.n_ports):
-            if not op_close(a.S[i, j], b.S[i, j], tol, times):
+            if not op_close(a.S[i, j], b.S[i, j], tol):
                 return False
-    return op_close(a.H, b.H, tol, times)
+    return op_close(a.H, b.H, tol)
 
 
 def triple_to_dict(g: SLHTriple) -> dict:
@@ -639,17 +651,14 @@ def triple_to_dict(g: SLHTriple) -> dict:
 
 
 def triple_from_dict(data: dict) -> SLHTriple:
-    """Inverse of :func:`triple_to_dict`.  Equal envelope dicts anywhere in
-    the triple become one envelope object, so terms that shared a
-    coefficient before serialization merge again (in ``liouvillian``)."""
+    """Inverse of :func:`triple_to_dict`."""
     n = data["n_ports"]
-    envelopes = {}
     S = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
-            S[i, j] = operator_from_dict(data["S"][i][j], envelopes)
-    L = [operator_from_dict(x, envelopes) for x in data["L"]]
-    H = operator_from_dict(data["H"], envelopes)
+            S[i, j] = operator_from_dict(data["S"][i][j])
+    L = [operator_from_dict(x) for x in data["L"]]
+    H = operator_from_dict(data["H"])
     return SLHTriple(
         S, L, H, input_names=data["input_names"], output_names=data["output_names"], check=False
     )

@@ -38,7 +38,7 @@ from slhnet.dynamics import (
     trajectory_csv,
     vectorize,
 )
-from slhnet.envelopes import GaussianPulse
+from slhnet.envelopes import GaussianPulse, ScaledEnvelope
 from slhnet.errors import (
     ConstructionError,
     SteadyStateError,
@@ -184,7 +184,6 @@ class TestDriveOracle:
     def test_matches_dense_drive_formula(self, rng, case, port, pulsed):
         # "both": alpha on port 2 beside a constant drive on port 1
         from slhnet.components import fabry_perot
-        from slhnet.envelopes import ScaledEnvelope
 
         g = _operator_valued_two_port(rng) if case == "operator_S" else fabry_perot(1.0, 0.5, 0.2, truncation=5, label="m")
         d = g.space.total_dim
@@ -432,17 +431,27 @@ class TestHeisenberg:
         assert (proj * (hc2.drift - want) * proj).max_abs() < 1e-10
 
     def test_ehrenfest_consistency(self, rng):
-        g = random_triple(rng, n_ports=1, dim=4)
-        gen = liouvillian(g)
-        X = random_hermitian(rng, g.space)
-        hc = heisenberg_coefficients(g, X)
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho)
-        drho = (gen.matrix(0.0) @ rho.reshape(-1)).reshape(4, 4)
-        lhs = np.trace(X.constant().toarray() @ drho)
-        rhs = np.trace(hc.drift.constant().toarray() @ rho)
-        assert abs(lhs - rhs) < 1e-10
+        # tr(X L rho) = tr(drift rho): one port; two ports with
+        # operator-valued S; and those two ports with a Gaussian-pulse
+        # coherent drive on port 1, read mid-pulse
+        pulse = ScaledEnvelope(0.6 - 0.3j, GaussianPulse(t0=2.0, sigma=0.5))
+        two_port = _operator_valued_two_port(rng)
+        cases = [
+            (random_triple(rng, n_ports=1, dim=4), 0.0),
+            (two_port, 0.0),
+            (_driven(two_port, {1: pulse}), 1.7),
+        ]
+        for g, t in cases:
+            gen = liouvillian(g)
+            X = random_hermitian(rng, g.space)
+            hc = heisenberg_coefficients(g, X)
+            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = m @ m.conj().T
+            rho /= np.trace(rho)
+            drho = (gen.matrix(t) @ rho.reshape(-1)).reshape(4, 4)
+            lhs = np.trace(X.constant().toarray() @ drho)
+            rhs = np.trace(hc.drift.toarray(t) @ rho)
+            assert abs(lhs - rhs) < 1e-10
 
 
 class TestOutputRelations:

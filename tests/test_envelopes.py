@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from slhnet.envelopes import (
+    CallableEnvelope,
     ConstantAmplitude,
     ExpDecayPulse,
     ExpRisingPulse,
@@ -78,6 +79,27 @@ def test_serialization_round_trip():
     back = envelope_from_dict(env.to_dict())
     for t in (0.0, 2.5, 3.5):
         assert abs(back(t) - env(t)) < 1e-14
+
+
+def test_built_in_pulses_are_real():
+    assert all(env.is_real for env in SHAPES)
+    base = GaussianPulse(t0=3.0, sigma=0.7)
+    assert ScaledEnvelope(-0.5, base).is_real
+    assert not ScaledEnvelope(0.5 - 0.2j, base).is_real
+    assert not ScaledEnvelope(2.0, CallableEnvelope(lambda t: t)).is_real
+    assert not CallableEnvelope(lambda t: t).is_real
+
+
+def test_equality_is_by_value_and_opaque_envelopes_equal_only_themselves():
+    a, b = GaussianPulse(t0=3, sigma=0.7), GaussianPulse(t0=3.0, sigma=0.7)
+    assert a == b and hash(a) == hash(b)
+    assert a != GaussianPulse(t0=3.0, sigma=0.8) and a != SquarePulse(2.0, 4.0)
+    assert ScaledEnvelope(0.5j, a) == envelope_from_dict(ScaledEnvelope(0.5j, b).to_dict())
+    fn = lambda t: t  # noqa: E731
+    for opaque in (CallableEnvelope(fn), ScaledEnvelope(2.0, CallableEnvelope(fn)), ScaledEnvelope(2.0, fn)):
+        assert opaque == opaque and {opaque: 1}[opaque] == 1
+    assert CallableEnvelope(fn) != CallableEnvelope(fn)
+    assert ScaledEnvelope(2.0, CallableEnvelope(fn)) != ScaledEnvelope(2.0, CallableEnvelope(fn))
 
 
 def test_bad_parameters():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from slhnet.envelopes import ConstantAmplitude, GaussianPulse
+from slhnet.envelopes import CallableEnvelope, ConstantAmplitude, GaussianPulse, ScaledEnvelope
 from slhnet.errors import ConstructionError, SpaceError
 from slhnet.hilbert import (
     Coefficient,
@@ -236,6 +236,20 @@ class TestTimeDependence:
         with pytest.raises(ConstructionError):
             op.constant()
 
+    def test_toarray_needs_a_time_for_time_dependent(self):
+        op = number("m", 3).scaled_by(GaussianPulse(t0=1.0, sigma=0.5))
+        with pytest.raises(ConstructionError):
+            op.toarray()
+        assert np.array_equal(op.toarray(1.0), op.at(1.0).toarray())
+        assert np.array_equal(number("m", 3).toarray(), np.diag([0.0, 1.0, 2.0]))
+
+    def test_trace_needs_a_time_for_time_dependent(self):
+        op = number("m", 3).scaled_by(GaussianPulse(t0=1.0, sigma=0.5))
+        with pytest.raises(ConstructionError):
+            trace(op)
+        assert trace(op, 1.0) == pytest.approx(3.0 * GaussianPulse(t0=1.0, sigma=0.5)(1.0))
+        assert trace(number("m", 3)) == 3.0
+
 
 class TestCoefficient:
     def test_equality_is_the_multiset_of_factors(self):
@@ -244,8 +258,28 @@ class TestCoefficient:
         assert xi * xs == xs * xi and hash(xi * xs) == hash(xs * xi)
         assert (xi * xs).factors == ((f, False), (f, True))  # first appearance, not id() order
         assert xi != xs and xi * xi != xi
-        assert xi != Coefficient([(g, False)])  # envelopes compare by identity
+        assert xi == Coefficient([(g, False)]) and hash(xi) == hash(Coefficient([(g, False)]))  # by value
         assert xs.conj() == xi
+        fn = lambda t: 1.0  # noqa: E731
+        assert Coefficient([(CallableEnvelope(fn), False)]) != Coefficient([(CallableEnvelope(fn), False)])
+
+    def test_function_drops_the_conjugation_of_real_factors_only(self):
+        f, z = GaussianPulse(t0=1.0, sigma=0.5), ScaledEnvelope(1j, GaussianPulse(t0=1.0, sigma=0.5))
+        xi, zeta = Coefficient([(f, False)]), Coefficient([(z, False)])
+        assert xi.conj() != xi and xi.conj().function() == xi.function()
+        assert zeta.conj().function() != zeta.function()
+        assert (xi * xi).function() != xi.function()
+
+    def test_max_abs_sums_terms_that_are_one_function(self):
+        a = destroy("m", 3)
+        env = GaussianPulse(t0=50.0, sigma=1.0)
+        real = (a + a.dag()).scaled_by(env)
+        assert len((real - real.dag()).terms) == 2 and (real - real.dag()).max_abs() == 0.0
+        assert real.is_hermitian() and op_close(real, real.dag())
+        assert not (1j * real).is_hermitian()
+        assert (1j * real - (1j * real).dag()).max_abs() == pytest.approx(2.0 * np.sqrt(2.0))
+        late = number("m", 3).scaled_by(lambda t: 1j * (t > 20))
+        assert not late.is_hermitian()
 
     def test_equal_coefficients_merge_and_zero_terms_drop(self):
         a = destroy("m", 3)

@@ -212,9 +212,8 @@ class TestElaboration:
         src = (coherent_source(0.3, env) if source.startswith("coherent")
                else fock_source(1, env, label="src"))
         want = series(one_sided_cavity(1.0, truncation=6, label="cav"), src)
-        times = (0.5, 1.7, 2.0, 2.9, 4.0)
         assert not res.triple.is_static()
-        assert triples_close(res.triple, want, 1e-12, times=times)
+        assert triples_close(res.triple, want, 1e-12)
 
         n_cav = number("cav", 6)
         got, ref = (

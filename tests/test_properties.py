@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slhnet.envelopes import GaussianPulse, SquarePulse
+from slhnet.envelopes import GaussianPulse, ScaledEnvelope, SquarePulse
 from slhnet.errors import CompositionError, SLHNetError
 from slhnet.hilbert import Coefficient, LabeledSpace, Operator, destroy, operator_from_json, operator_to_json
 from slhnet.netlang import _TOKEN, elaborate, parse
@@ -188,6 +188,52 @@ def test_coefficient_products_round_trip_through_json(op):
     assert len(back.terms) == len(op.terms)
     for t in (0.3, 1.1, 2.2):
         assert np.abs(back.at(t).toarray() - op.at(t).toarray()).max() <= 1e-14
+
+
+# Products of these are linearly independent functions of t, so an
+# operator vanishes at every t exactly when each product's matrix does.
+# (A square pulse would not do: its square is a multiple of itself.)
+PULSE = GaussianPulse(t0=1.0, sigma=0.5)
+HERMITICITY_POOL = (PULSE, GaussianPulse(t0=2.0, sigma=0.7), ScaledEnvelope(0.6 + 0.8j, PULSE))
+
+
+@st.composite
+def enveloped_operators(draw):
+    """A Hermitian static part plus 1-3 pieces, each a random operator A,
+    A + A^dag, a real coefficient on a Hermitian matrix, or any coefficient
+    on a Hermitian matrix.  Coefficients are products of 1-3 possibly
+    conjugated factors from the pool; a real one takes its factors from
+    the two pulses and may add |z|^2 for the complex envelope z."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space = LabeledSpace([("m", draw(st.integers(1, 3)))])
+    d = space.total_dim
+
+    def coefficient(pool):
+        return Coefficient(draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()), min_size=1, max_size=3)))
+
+    op = random_hermitian(rng, space)
+    for kind in draw(st.lists(st.sampled_from(["A", "A + A^", "real", "any"]), min_size=1, max_size=3)):
+        if kind == "any":
+            op = op + random_hermitian(rng, space).scaled_by(coefficient(HERMITICITY_POOL))
+        elif kind == "real":
+            c = coefficient(HERMITICITY_POOL[:2])
+            if draw(st.booleans()):
+                c = c * Coefficient([(HERMITICITY_POOL[2], False), (HERMITICITY_POOL[2], True)])
+            op = op + random_hermitian(rng, space).scaled_by(c)
+        else:
+            A = Operator(space, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))).scaled_by(coefficient(HERMITICITY_POOL))
+            op = op + (A + A.dag() if kind == "A + A^" else A)
+    lo = min(f.support()[0] for f in HERMITICITY_POOL)
+    hi = max(f.support()[1] for f in HERMITICITY_POOL)
+    return op, rng.uniform(lo, hi, 50)
+
+
+@PROPERTY
+@given(enveloped_operators())
+def test_is_hermitian_agrees_with_hermiticity_at_random_times(case):
+    op, times = case
+    resid = max(abs(op.at(t) - op.at(t).conj().T).max() for t in times)
+    assert op.is_hermitian() == (resid <= 1e-10)
 
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
