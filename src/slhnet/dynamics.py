@@ -26,6 +26,9 @@ preserves Hermiticity, and ``steady_state`` solves for its null vector,
 all on the real coordinates of the state (d^2 reals for d^2 degrees of
 freedom) with the generator mapped to a real sparse matrix; a generator or
 initial state that the conjugation does not fix is refused, never projected.
+The two evolutions integrate only the coordinates the generator can reach
+from the initial state (``_RealCoordinates.reachable``); the others stay
+exactly zero.
 
 Also here: Heisenberg-picture coefficient extraction, input-output
 structure, an adaptive/fixed-step integrator whose guards stop on trace
@@ -382,12 +385,39 @@ class _RealCoordinates:
         R.eliminate_zeros()
         return R
 
-    def rhs(self, gen: Superoperator) -> Callable[[float, np.ndarray], np.ndarray]:
-        """The real right-hand side of ``gen``.  A term with coefficient c
-        and its partner with c.conj() become Re c R+ + Im c R-; a
-        self-conjugate coefficient (|xi|^2) is one term.  A term without a
-        partner does not preserve Hermiticity and is refused."""
-        static = self.real_matrix(gen.static)
+    def reachable(self, gen: Superoperator, x: np.ndarray) -> np.ndarray:
+        """Mask of the coordinates that ``x' = R(t) x`` can move from ``x``:
+        the closure of the support of ``x`` under the sparsity pattern of
+        ``gen`` (its static part and every term) and under the involution.
+        The closure is a set that the pattern maps into itself, so every
+        coordinate outside it has a derivative of exactly 0.0 and stays
+        0.0 along the run."""
+        pattern = abs(gen.static)
+        for _, m in gen.terms:
+            pattern = pattern + abs(m)
+        keep = x != 0
+        while True:
+            keep |= keep[self.s]
+            grown = keep | (pattern @ keep > 0)
+            if (grown == keep).all():
+                return keep
+            keep = grown
+
+    def rhs(self, gen: Superoperator, keep: np.ndarray | None = None) -> Callable[[float, np.ndarray], np.ndarray]:
+        """The real right-hand side of ``gen``, on the coordinates of the
+        mask ``keep`` only when one is given (each real matrix sliced once
+        to ``R[keep][:, keep]``; the Hermiticity check still reads all of
+        G).  A term with coefficient c and its partner with c.conj() become
+        Re c R+ + Im c R-; a self-conjugate coefficient (|xi|^2) is one
+        term.  A term without a partner does not preserve Hermiticity and
+        is refused."""
+        idx = None if keep is None else np.flatnonzero(keep)
+
+        def real(G):
+            R = self.real_matrix(G)
+            return R if idx is None else R[idx][:, idx]
+
+        static = real(gen.static)
         by_coeff = dict(gen.terms)
         terms, partners = [], set()
         for c, m in gen.terms:
@@ -395,7 +425,7 @@ class _RealCoordinates:
             if c in partners:
                 continue
             if cc == c:
-                terms.append((c, self.real_matrix(m), None))
+                terms.append((c, real(m), None))
             elif cc not in by_coeff:
                 raise ValidationError(
                     "generator does not preserve Hermiticity: a time-dependent term has no "
@@ -404,7 +434,7 @@ class _RealCoordinates:
             else:
                 partners.add(cc)
                 mc = by_coeff[cc]
-                terms.append((c, self.real_matrix(m + mc), self.real_matrix(1j * (m - mc))))
+                terms.append((c, real(m + mc), real(1j * (m - mc))))
         if not terms:
             return lambda t, x: static @ x
 
@@ -818,8 +848,8 @@ def integrate(
     lie within ``t_span``; ``t0`` is prepended when it is missing.
 
     The samples take ``y0``'s dtype (at least float64): ``evolve_density``
-    and ``evolve_hierarchy`` pass real coordinates and a real right-hand
-    side, so ``atol``/``rtol`` act per real coordinate; a complex ``y0``
+    and ``evolve_hierarchy`` pass the reachable real coordinates and a
+    real right-hand side (``_integrate_reachable``); a complex ``y0``
     integrates as a complex vector.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -874,6 +904,38 @@ def integrate(
     else:
         raise ValidationError(f"unknown integration method {method!r}")
     return Trajectory(t_eval, states)
+
+
+def _integrate_reachable(
+    coords: _RealCoordinates, gen: Superoperator, x0: np.ndarray, *args,
+    atol: float, rtol: float, guard: Callable[[float, np.ndarray], None], **kwargs,
+) -> Trajectory:
+    """``integrate(coords.rhs(gen), x0, ...)`` on the coordinates reachable
+    from ``x0`` (``coords.reachable``) only.  The others stay exactly 0.0,
+    so the guard and the samples see the full vector with zeros there.
+
+    RK45 accepts a step on the RMS norm over all N coordinates, to which
+    the zeros add nothing; ``atol`` and ``rtol`` scaled by sqrt(N / |S|)
+    give the |S| restricted coordinates that same norm, so the initial
+    step, every error estimate and every acceptance are the same numbers
+    in exact arithmetic.  Fixed-step samples are bitwise those of the full
+    run: a row sum skips only products with a zero."""
+    keep = coords.reachable(gen, x0)
+    scale = math.sqrt(x0.size / max(1, np.count_nonzero(keep)))
+    full = np.zeros_like(x0)
+
+    def full_guard(t, x):
+        full[keep] = x
+        guard(t, full)
+
+    traj = integrate(
+        coords.rhs(gen, keep), x0[keep], *args, atol=scale * atol, rtol=scale * rtol, guard=full_guard, **kwargs
+    )
+    if keep.all():
+        return traj
+    states = np.zeros((traj.times.size, x0.size), dtype=traj.states.dtype)
+    states[:, keep] = traj.states
+    return Trajectory(traj.times, states)
 
 
 @dataclass
@@ -957,7 +1019,8 @@ def evolve_density(
     dt: float | None = None,
     truncation_guard: float | None = TRUNC_GUARD,
 ) -> DensityTrajectory:
-    """Integrate a master equation on the real coordinates of rho; never
+    """Integrate a master equation on the real coordinates of rho that the
+    generator can reach from ``rho0`` (``_integrate_reachable``); never
     silently renormalizes.  A generator that does not preserve Hermiticity
     and a non-Hermitian ``rho0`` are refused before the first step."""
     _require_density_generator(generator, "evolve_density")
@@ -966,8 +1029,8 @@ def evolve_density(
     rho0 = rho0.embed(generator.space)
     guard = _density_guard(generator.space, truncation_guard)
     coords = _RealCoordinates(generator.dim)
-    traj = integrate(
-        coords.rhs(generator), coords.to_real(vectorize(rho0)), t_span, t_eval, method=method,
+    traj = _integrate_reachable(
+        coords, generator, coords.to_real(vectorize(rho0)), t_span, t_eval, method=method,
         atol=atol, rtol=rtol, dt=dt, guard=guard,
     )
     return DensityTrajectory(traj.times, generator.space, traj.states)
@@ -997,8 +1060,8 @@ def evolve_hierarchy(
             diag = x[(m * nb + m) * d * d : (m * nb + m + 1) * d * d : d + 1]
             _check_truncation(hier.space, diag, truncation_guard, f"in block ({m},{m}) at t = {t:.6g}")
 
-    traj = integrate(
-        _RealCoordinates(d, nb).rhs(hier), state0.x, t_span, t_eval, method=method,
+    traj = _integrate_reachable(
+        _RealCoordinates(d, nb), hier, state0.x, t_span, t_eval, method=method,
         atol=atol, rtol=rtol, dt=dt, guard=guard,
     )
     return traj.times, hier.unpack(traj.states, traj.times)

@@ -91,6 +91,11 @@ class Envelope:
             return 0.0
         return self(t) / math.sqrt(w)
 
+    def conjugate(self) -> "Envelope | None":
+        """An envelope equal to conj(self) at every t, when one is known: a
+        real envelope is its own."""
+        return self if self.is_real else None
+
     def to_dict(self) -> dict:
         raise ConstructionError(f"envelope {self.name!r} wraps an opaque callable and has no serialized form")
 
@@ -250,12 +255,16 @@ class ScaledEnvelope(Envelope):
     name = "scaled"
 
     def __init__(self, scale: complex, base: Envelope):
-        self.scale = complex(scale)
+        self.scale = complex(scale) + 0j  # no signed zeros: -1j equals conj(1j)
         self.base = as_envelope(base)
 
     @property
     def is_real(self):
         return self.scale.imag == 0.0 and self.base.is_real
+
+    def conjugate(self):
+        """conj(z f) is conj(z) f for a real base f."""
+        return ScaledEnvelope(self.scale.conjugate(), self.base) if self.base.is_real else None
 
     def __call__(self, t):
         return self.scale * self.base(t)

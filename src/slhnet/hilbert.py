@@ -158,10 +158,16 @@ class Coefficient:
         return Coefficient((f, not conj) for f, conj in self.factors)
 
     def function(self) -> frozenset:
-        """The factor multiset with the conjugation dropped on real factors:
+        """The factor multiset with each conjugated factor replaced by the
+        envelope equal to its conjugate, where one is known (a real
+        envelope itself, ``conj(z f)`` as ``conj(z) f`` for a real ``f``):
         equal for coefficients that are the same function of time by
         construction."""
-        return frozenset(Counter((f, conj and not getattr(f, "is_real", False)) for f, conj in self.factors).items())
+        def plain(f, conj):
+            g = getattr(f, "conjugate", lambda: None)() if conj else None
+            return (f, conj) if g is None else (g, False)
+
+        return frozenset(Counter(plain(f, conj) for f, conj in self.factors).items())
 
     def __eq__(self, other):
         return isinstance(other, Coefficient) and self._key == other._key

@@ -334,6 +334,17 @@ class TestExactHermiticity:
             assert g.hermiticity_residual() == 0.0
             assert abs(g.H.at(50.3) - H.at(50.3)).max() <= 1e-15
 
+    def test_conjugate_of_a_complex_multiple_is_one_function(self):
+        # conj(1j g) is -1j g for a real g, so this H is Hermitian at every t
+        a, n = destroy("m", 4), number("m", 4)
+        env = GaussianPulse(t0=50.0, sigma=1.0)
+        H = n + a.scaled_by(ScaledEnvelope(1j, env)) + a.dag().scaled_by(ScaledEnvelope(-1j, env))
+        g = SLHTriple(1, [a], H)
+        assert g.hermiticity_residual() == 0.0
+        assert abs(g.H.at(50.3) - H.at(50.3)).max() <= 1e-15
+        with pytest.raises(CompositionError, match="anti-Hermitian residual 1.732e\\+00"):
+            SLHTriple(1, [a], n + a.scaled_by(ScaledEnvelope(1j, env)) + a.dag().scaled_by(ScaledEnvelope(1j, env)))
+
     def test_opaque_coefficient_is_named_in_the_error(self):
         n = number("m", 4)
         with pytest.raises(CompositionError, match="opaque callable cannot be shown real.*gaussian, square"):
