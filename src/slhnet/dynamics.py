@@ -46,9 +46,7 @@ from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .components import coherent_source
 from .envelopes import ConstantAmplitude, Envelope, as_envelope
@@ -1095,8 +1093,10 @@ def _triangular_sylvester(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
     side, each with its own ``scale`` divided out."""
     m, n = C.shape
     if max(m, n) <= SYLVESTER_TILE:
+        from scipy.linalg.lapack import ztrsyl  # deferred, as in steady_state
+
         # info = 1 (close eigenvalues, perturbed) still gives a preconditioner
-        y, scale, _ = sla.lapack.ztrsyl(A, B, C, tranb="C")
+        y, scale, _ = ztrsyl(A, B, C, tranb="C")
         C[...] = y / scale
     elif m >= n:
         k = m // 2
@@ -1115,8 +1115,10 @@ def _sylvester_inverse(P: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     form ``P = U T U^`` (Schur, not eigenvectors: ``H_eff`` may be
     defective), so that each solve is ``T Y + Y T^ = U^ R U``
     (``_triangular_sylvester``)."""
+    from scipy.linalg import schur  # deferred, as in steady_state
+
     d = P.shape[0]
-    T, U = sla.schur(P, output="complex")
+    T, U = schur(P, output="complex")
     UH = U.conj().T
 
     def solve(r: np.ndarray) -> np.ndarray:
@@ -1152,6 +1154,10 @@ def steady_state(generator: Superoperator) -> DensityState:
     * a residual ``||L rho||`` above ``STEADY_RESIDUAL_TOL * ||A||_1``
       means it is trivial.
     """
+    # deferred: only a steady state needs the dense and iterative solvers,
+    # and importing them is a large share of a short request
+    import scipy.sparse.linalg as spla
+
     _require_density_generator(generator, "steady_state")
     if not generator.is_static:
         raise UnsupportedConfigurationError("steady state needs a time-independent generator")

@@ -24,11 +24,13 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+if TYPE_CHECKING:
+    import scipy.sparse.linalg as spla
 
 from .errors import ConstructionError, SpaceError
 
@@ -310,14 +312,23 @@ class Operator:
                 raise SpaceError(
                     f"embedding failed: factor {lbl!r} has dim {dim}, target has {tdim}"
                 )
-        index = _lift_index(self.space.factors, target.factors)
+        index, source_row, extra = _lift_index(self.space.factors, target.factors)
         d = target.total_dim
 
         def lift(matrix):
-            # entry (r, c) of kron(matrix, I) block e lands at (index[r, e], index[c, e])
-            coo = matrix.tocoo()
-            rows, cols = index[coo.row].ravel(), index[coo.col].ravel()
-            return sp.csr_matrix((np.repeat(coo.data, index.shape[1]), (rows, cols)), shape=(d, d))
+            # entry (r, c) of kron(matrix, I) block e lands at (index[r, e], index[c, e]):
+            # target row t copies row source_row[t], its columns sent through
+            # index[:, extra[t]], which keeps sorted columns sorted
+            if not matrix.has_canonical_format:
+                matrix = matrix.copy()
+                matrix.sum_duplicates()
+            counts = np.diff(matrix.indptr)[source_row]
+            indptr = np.zeros(d + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            src = np.arange(indptr[-1]) + np.repeat(matrix.indptr[source_row] - indptr[:-1], counts)
+            cols = index[matrix.indices[src], np.repeat(extra, counts)]
+            idx = np.int32 if max(indptr[-1], d) <= np.iinfo(np.int32).max else np.int64
+            return sp.csr_matrix((matrix.data[src], cols.astype(idx), indptr.astype(idx)), shape=(d, d))
 
         return Operator(
             target,
@@ -337,13 +348,17 @@ class Operator:
 
     def __add__(self, other) -> "Operator":
         a, b = self._pair(other)
+        if not (b.static.nnz or b.terms):
+            return a
+        if not (a.static.nnz or a.terms):
+            return b
         return Operator(a.space, a.static + b.static, a.terms + b.terms)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Operator":
         a, b = self._pair(other)
-        return a + (-1.0) * b
+        return Operator(a.space, a.static - b.static, a.terms + tuple((c, -m) for c, m in b.terms))
 
     def __rsub__(self, other) -> "Operator":
         return (-1.0) * self + other
@@ -397,14 +412,16 @@ def op_close(x: Operator, y: Operator, tol: float = TOL_OP) -> bool:
 
 
 @functools.lru_cache
-def _lift_index(small: tuple, target: tuple) -> np.ndarray:
-    """Where each index of ``kron(M, I_missing)`` sits in the target layout.
+def _lift_index(small: tuple, target: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each index of ``kron(M, I_missing)`` sits in the target layout,
+    and its inverse.
 
     ``kron`` lays indices out as (small factors..., missing factors...);
-    row ``r`` of the result holds the ``target`` index of composite index
+    row ``r`` of ``index`` holds the ``target`` index of composite index
     ``(r, e)`` for each index ``e`` of the missing factors.  ``target``
-    orders its factors lexicographically.  The array is cached, hence
-    read-only.
+    orders its factors lexicographically, so ``index[:, e]`` is increasing.
+    The inverse gives the ``r`` and the ``e`` of every target index.  The
+    arrays are cached, hence read-only.
     """
     labels = [lbl for lbl, _ in target]
     small_labels = [lbl for lbl, _ in small]
@@ -413,8 +430,12 @@ def _lift_index(small: tuple, target: tuple) -> np.ndarray:
     layout = np.arange(math.prod(dims)).reshape(dims)
     axes = [labels.index(lbl) for lbl in combined]
     index = layout.transpose(axes).reshape(math.prod(dim for _, dim in small), -1)
-    index.flags.writeable = False
-    return index
+    inverse = np.empty(index.size, dtype=index.dtype)
+    inverse[index.ravel()] = np.arange(index.size)
+    arrays = (index, *np.divmod(inverse, index.shape[1]))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 # --------------------------------------------------------------------------
@@ -626,6 +647,8 @@ def _factor(A) -> tuple[spla.SuperLU | None, float]:
     ``I + [[0, 1], [1, 0]]``) and miss it.  An exactly singular or
     overflowing factorization gives ``(None, 0.0)``.
     """
+    import scipy.sparse.linalg as spla  # deferred: only a closed loop needs it
+
     A = sp.csc_matrix(A, dtype=np.complex128)
     try:
         lu = spla.splu(A)

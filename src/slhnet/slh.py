@@ -58,9 +58,14 @@ class SLHTriple:
     Operators (scalars are promoted to multiples of the identity on the
     trivial space); entries must be time independent.  ``L`` entries and
     ``H`` may carry scalar-envelope time dependence.
+
+    ``check`` refuses a non-unitary S or a non-Hermitian H at ``tol`` and
+    symmetrizes H; a triple records that it passed, so that ``concat`` of
+    checked triples need not check again.
     """
 
-    __slots__ = ("n_ports", "space", "S", "L", "H", "input_names", "output_names", "metadata", "check_tol")
+    __slots__ = ("n_ports", "space", "S", "L", "H", "input_names", "output_names", "metadata", "check_tol",
+                 "_checked")
 
     def __init__(
         self,
@@ -116,27 +121,31 @@ class SLHTriple:
                 raise CompositionError(f"scattering matrix is not unitary: residual {resid:.3e}")
             H = _symmetrized(H, tol)
         self.H = H
+        self._checked = check
 
     # -- checks -------------------------------------------------------------
 
     def scattering_matrix(self) -> sp.csr_matrix:
         """The (n*d) x (n*d) block matrix of static scattering entries."""
-        n, d = self.n_ports, self.space.total_dim
+        n = self.n_ports
         if n == 0:
             return sp.csr_matrix((0, 0), dtype=np.complex128)
+        if n == 1:
+            return self.S[0, 0].constant()
         blocks = [[self.S[i, j].constant() for j in range(n)] for i in range(n)]
         return sp.bmat(blocks, format="csr")
 
     def unitarity_residual(self) -> float:
-        n, d = self.n_ports, self.space.total_dim
-        if n == 0:
+        """Largest entry of |S^dag S - I| and |S S^dag - I|; NaN if S holds a NaN."""
+        if self.n_ports == 0:
             return 0.0
         big = self.scattering_matrix()
-        eye = sp.identity(n * d, dtype=np.complex128, format="csr")
-        r1 = big.conj().T @ big - eye
-        r2 = big @ big.conj().T - eye
-        vals = [np.abs(r.data).max() if r.nnz else 0.0 for r in (r1, r2)]
-        return float(max(vals))
+        big_dag = big.conj().T
+        vals = []
+        for P in (big_dag @ big, big @ big_dag):  # CSR or CSC: either way major != minor is off the diagonal
+            major = np.repeat(np.arange(P.indptr.size - 1), np.diff(P.indptr))
+            vals += [P.data[major != P.indices], P.diagonal() - 1.0]
+        return float(np.abs(np.concatenate(vals)).max())  # one numpy max, so a NaN anywhere wins
 
     def hermiticity_residual(self) -> float:
         return (self.H - self.H.dag()).max_abs()
@@ -147,7 +156,7 @@ class SLHTriple:
         return self.H.is_static and all(x.is_static for x in self.L)
 
     def with_names(self, input_names=None, output_names=None, metadata=None) -> "SLHTriple":
-        return SLHTriple(
+        out = SLHTriple(
             self.S,
             self.L,
             self.H,
@@ -157,6 +166,8 @@ class SLHTriple:
             check=False,
             tol=self.check_tol,
         )
+        out._checked = self._checked
+        return out
 
     def __repr__(self):
         return f"SLHTriple(n_ports={self.n_ports}, space={self.space!r})"
@@ -310,9 +321,12 @@ def concat(*triples: SLHTriple, check: bool = True) -> SLHTriple:
     """Parallel composition of any number of triples: block-diagonal S,
     stacked L, H summed left to right.
 
-    Each operator is lifted once into the union space, and the result is
-    checked once: a block-diagonal S is unitary exactly when every block
-    is, and a sum of Hermitian H is Hermitian.
+    Each operator is lifted once into the union space.  With ``check``,
+    the result is checked once, unless every operand passed its own
+    check: then S^dag S - I is block diagonal with the operands' residuals
+    as blocks, each within its tol <= the inherited one, and a sum of
+    exactly Hermitian (symmetrized) H is exactly Hermitian, which
+    symmetrizing again would return bit for bit.
     """
     if not triples:
         raise CompositionError("concat needs at least one triple")
@@ -328,15 +342,18 @@ def concat(*triples: SLHTriple, check: bool = True) -> SLHTriple:
         L += [x.embed(space) for x in g.L]
         offset += g.n_ports
     H = sum((g.H.embed(space) for g in triples[1:]), triples[0].H.embed(space))
-    return SLHTriple(
+    checked = all(g._checked for g in triples)
+    out = SLHTriple(
         S,
         L,
         H,
         input_names=sum((g.input_names for g in triples), ()),
         output_names=sum((g.output_names for g in triples), ()),
-        check=check,
+        check=check and not checked,
         tol=_inherit_tol(*triples),
     )
+    out._checked = check or checked
+    return out
 
 
 def direct_couple(g1: SLHTriple, g2: SLHTriple, h_int: Operator, check: bool = True) -> SLHTriple:

@@ -21,6 +21,25 @@ def run_cli(args, capsys):
     return code, out, err
 
 
+# The same assertion runs against the installed package in CI.  It is
+# written relative to ``import scipy.sparse``: a scipy whose sparse package
+# imports its linalg itself does not trip it.
+NO_DENSE_SOLVER_ON_IMPORT = """import sys, numpy, scipy.sparse
+before = set(sys.modules)
+import slhnet.cli
+heavy = {"scipy.linalg", "scipy.sparse.linalg", "scipy.integrate"} & (set(sys.modules) - before)
+assert not heavy, sorted(heavy)
+"""
+
+
+def test_import_loads_no_dense_solver():
+    """Only loops, steady states and integration need scipy's solvers, so
+    composing or checking a loop-free network never pays for importing them."""
+    out = subprocess.run([sys.executable, "-c", NO_DENSE_SOLVER_ON_IMPORT],
+                         capture_output=True, text=True, cwd=str(NETWORKS.parent))
+    assert out.returncode == 0, out.stderr
+
+
 class TestCompose:
     def test_compose_matches_golden_bytes(self, capsys):
         goldens = sorted((NETWORKS / "golden").glob("*.slh.json"))

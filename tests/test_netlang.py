@@ -157,8 +157,9 @@ class TestPrinting:
 class TestElaboration:
     def test_compose_work_counts(self, monkeypatch):
         """vec_elim_loop at truncation 5: one n-ary concat lifts each
-        component operator once and checks S once; the other four checks
-        are the components' own, the last one the feedback reduction's."""
+        component operator once and checks nothing again, since every
+        component passed its own check; four checks are the components'
+        own, the fifth the feedback reduction's."""
         counts = {"embed": 0, "unitarity": 0}
         embed, residual = Operator.embed, SLHTriple.unitarity_residual
 
@@ -173,7 +174,7 @@ class TestElaboration:
         monkeypatch.setattr(Operator, "embed", counted_embed)
         monkeypatch.setattr(SLHTriple, "unitarity_residual", counted_residual)
         elaborate(parse((NETWORKS / "vec_elim_loop.qnet").read_text()))
-        assert counts == {"embed": 28, "unitarity": 6}
+        assert counts == {"embed": 28, "unitarity": 5}
 
     def test_single_component_unchanged(self):
         nd = parse("component c = one_sided_cavity(gamma=2.0, delta=0.5, truncation=6);")

@@ -10,12 +10,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slhnet.envelopes import GaussianPulse, ScaledEnvelope, SquarePulse
 from slhnet.errors import CompositionError, SLHNetError
-from slhnet.hilbert import Coefficient, LabeledSpace, Operator, destroy, operator_from_json, operator_to_json
+from slhnet.hilbert import (
+    Coefficient,
+    LabeledSpace,
+    Operator,
+    _lift_index,
+    destroy,
+    operator_from_json,
+    operator_to_json,
+)
 from slhnet.netlang import _TOKEN, elaborate, parse
 from slhnet.slh import SLHTriple, _indent2, concat, triple_to_dict, triple_to_json, triples_close
 
@@ -71,6 +80,53 @@ def test_embed_matches_dense_kron_and_transpose(case):
     for (c_small, m_small), (c_big, m_big) in zip(op.terms, lifted.terms):
         assert c_big is c_small
         assert np.array_equal(m_big.toarray(), dense_embedding(m_small.toarray(), op.space, target))
+
+
+def coo_lift(matrix, small: LabeledSpace, target: LabeledSpace) -> sp.csr_matrix:
+    """The lift through COO: entry (r, c) of kron(matrix, I) block e goes to
+    (index[r, e], index[c, e]), and scipy's COO -> CSR conversion sorts."""
+    index = _lift_index(small.factors, target.factors)[0]
+    coo = matrix.tocoo()
+    rows, cols = index[coo.row].ravel(), index[coo.col].ravel()
+    d = target.total_dim
+    return sp.csr_matrix((np.repeat(coo.data, index.shape[1]), (rows, cols)), shape=(d, d))
+
+
+def reversed_rows(m: sp.csr_matrix) -> sp.csr_matrix:
+    """The same matrix with the entries of each row stored in reverse order."""
+    order = np.concatenate([np.arange(hi - 1, lo - 1, -1) for lo, hi in zip(m.indptr[:-1], m.indptr[1:])])
+    return sp.csr_matrix((m.data[order], m.indices[order], m.indptr), shape=m.shape)
+
+
+@st.composite
+def lift_cases(draw):
+    """An ``embeddings`` case as drawn, as a product of two such operators
+    (scipy's product may leave row indices unsorted), or with every row's
+    entries stored in reverse order."""
+    op, target = draw(embeddings())
+    form = draw(st.sampled_from(["reversed", "product", "drawn"]))
+    if form == "product":
+        op = op * Operator(op.space, op.static.T, [(c, m.T) for c, m in op.terms])
+    elif form == "reversed":
+        op = Operator(op.space, reversed_rows(op.static), [(c, reversed_rows(m)) for c, m in op.terms])
+    return op, target
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(lift_cases())
+def test_embed_gives_the_coo_lift_bit_for_bit(case):
+    op, target = case
+    lifted = op.embed(target)
+    if target == op.space:
+        assert lifted is op
+        return
+    assert [c for c, _ in lifted.terms] == [c for c, _ in op.terms]
+    for got, m in zip([lifted.static] + [m for _, m in lifted.terms], [op.static] + [m for _, m in op.terms]):
+        want = coo_lift(m, op.space, target)
+        assert got.indices.dtype == got.indptr.dtype == want.indices.dtype == np.int32
+        for a, b in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
+            assert a.tobytes() == b.tobytes()
+        assert got.has_canonical_format
 
 
 def _triple(rng, label, dim, n_ports, pulsed):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_triple
 
-from slhnet.components import beamsplitter, coherent_source, one_sided_cavity
+from slhnet.components import beamsplitter, coherent_source, one_sided_cavity, phase_shifter
 from slhnet.dynamics import liouvillian
 from slhnet.envelopes import GaussianPulse, ScaledEnvelope
 from slhnet.errors import AlgebraicLoopError, CompositionError
@@ -32,6 +32,7 @@ from slhnet.slh import (
     triple_hash,
     triple_to_json,
     triples_close,
+    _symmetrized,
 )
 
 
@@ -108,6 +109,67 @@ class TestConcat:
         # same operators, swapped port order
         swapped = permute_ports(permute_ports(left, [2, 1], "outputs"), [2, 1], "inputs")
         assert triples_close(swapped, right)
+
+
+def same_bits(x: Operator, y: Operator) -> bool:
+    """Equal static parts and terms, array for array and byte for byte."""
+    def arrays(op):
+        mats = [op.static] + [m for _, m in op.terms]
+        return [a.tobytes() for m in mats for a in (m.data, m.indices, m.indptr)]
+
+    return [c for c, _ in x.terms] == [c for c, _ in y.terms] and arrays(x) == arrays(y)
+
+
+class TestCheckOnce:
+    """A triple records that it passed its check; concat of checked triples
+    builds its result without checking again, and any unchecked operand
+    brings the full check back."""
+
+    def operands(self):
+        a = destroy("p", 3)
+        pulsed = SLHTriple(1, [a], a.dag() * a + (a + a.dag()).scaled_by(GaussianPulse(t0=1.0, sigma=0.5)))
+        return [cavity(2.0, 0.5, label="c1"), beamsplitter(theta=0.3), phase_shifter(0.6), pulsed]
+
+    @pytest.mark.parametrize("bad, message", [
+        (SLHTriple(2.0, [0.0], 0.0, check=False), "scattering matrix is not unitary: residual 3.000e+00"),
+        (SLHTriple(1, [0.0], 1j * number("q", 3), check=False), "anti-Hermitian residual 4.000e+00"),
+    ])
+    def test_unchecked_operand_is_checked(self, bad, message):
+        with pytest.raises(CompositionError) as alone:
+            SLHTriple(bad.S, bad.L, bad.H)
+        with pytest.raises(CompositionError) as joined:
+            concat(cavity(1.0, 0.2), bad)
+        assert message in str(joined.value)
+        assert str(joined.value) == str(alone.value)
+
+    def test_checked_operands_give_a_checked_result(self, monkeypatch):
+        gs = self.operands()
+        assert all(g._checked for g in gs)
+        calls = []
+        residual = SLHTriple.unitarity_residual
+        monkeypatch.setattr(SLHTriple, "unitarity_residual", lambda g: calls.append(g) or residual(g))
+        g = concat(*gs)
+        assert calls == []
+        monkeypatch.undo()
+        assert g._checked
+        assert g.unitarity_residual() <= g.check_tol
+        assert len(g.H.terms) == 2
+        assert same_bits(_symmetrized(g.H, g.check_tol), g.H)
+
+    def test_unchecked_concat_of_checked_operands_is_checked(self):
+        assert concat(*self.operands(), check=False)._checked
+        assert not concat(cavity(1.0, 0.2), SLHTriple(1, [0.0], 0.0, check=False), check=False)._checked
+
+    def test_with_names_keeps_the_record(self):
+        g = cavity(1.0, 0.2)
+        assert g.with_names(input_names=("x",))._checked
+        unchecked = SLHTriple(1, [0.0], 0.0, check=False)
+        assert not unchecked.with_names(output_names=("y",))._checked
+
+    @pytest.mark.parametrize("phi", [float("nan"), 1e999])
+    def test_non_finite_phase_is_refused(self, phi):
+        with pytest.raises(CompositionError, match="not unitary: residual nan"):
+            phase_shifter(phi)
 
 
 class TestDirectCoupling:
