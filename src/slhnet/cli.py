@@ -384,8 +384,7 @@ def cmd_transfer_function(args) -> int:
         for j in range(n):
             header += [f"re_Xi_{i + 1}_{j + 1}", f"im_Xi_{i + 1}_{j + 1}"]
     lines = [",".join(header)]
-    for w in omegas:
-        Xi = transfer_function(model, 1j * w)
+    for w, Xi in zip(omegas, transfer_function(model, 1j * omegas)):
         row = [f"{w:.12e}"]
         for i in range(n):
             for j in range(n):

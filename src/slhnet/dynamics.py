@@ -89,8 +89,8 @@ STEADY_RESIDUAL_TOL = 1e-10
 #: ||A||_1: the no-jump part is exactly singular for a vacuum steady state
 STEADY_SHIFT = 1e-8
 
-#: GMRES on the preconditioned system: relative residual, Krylov basis
-#: size between restarts, and restart cycles before giving up
+#: steady-state GMRES: relative true residual, Krylov basis size between
+#: restarts, and restart cycles before giving up
 STEADY_GMRES_RTOL = 1e-12
 STEADY_GMRES_RESTART = 200
 STEADY_GMRES_MAXITER = 5
@@ -1088,45 +1088,124 @@ def _triangular_sylvester(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
     """Overwrite ``C`` with the ``X`` of ``A X + X B^ = C``, ``A`` and ``B``
     upper triangular, by recursive blocking (Jonsson & Kagstrom, ACM TOMS 28,
     392 (2002)): the larger side is halved, the solved half's coupling moves
-    to the other half's right-hand side by one matmul, and LAPACK's
+    to the other half's right-hand side by one ``zgemm``, and LAPACK's
     unblocked ``ztrsyl`` solves only tiles of at most ``SYLVESTER_TILE`` a
     side, each with its own ``scale`` divided out."""
+    # deferred, as in steady_state
+    from scipy.linalg.blas import zgemm
+    from scipy.linalg.lapack import ztrsyl
+
     m, n = C.shape
     if max(m, n) <= SYLVESTER_TILE:
-        from scipy.linalg.lapack import ztrsyl  # deferred, as in steady_state
-
         # info = 1 (close eigenvalues, perturbed) still gives a preconditioner
         y, scale, _ = ztrsyl(A, B, C, tranb="C")
         C[...] = y / scale
     elif m >= n:
         k = m // 2
         _triangular_sylvester(A[k:, k:], B, C[k:])
-        C[:k] -= A[:k, k:] @ C[k:]
+        C[:k] = zgemm(-1.0, A[:k, k:], C[k:], 1.0, C[:k])
         _triangular_sylvester(A[:k, :k], B, C[:k])
     else:
         k = n // 2
         _triangular_sylvester(A, B[k:, k:], C[:, k:])
-        C[:, :k] -= C[:, k:] @ B[:k, k:].conj().T
+        C[:, :k] = zgemm(-1.0, C[:, k:], B[:k, k:], 1.0, C[:, :k], trans_b=2)
         _triangular_sylvester(A, B[:k, :k], C[:, :k])
 
 
+def _triangular_lyapunov(T: np.ndarray, C: np.ndarray) -> None:
+    """Overwrite a Hermitian ``C`` with the Hermitian ``Y`` of
+    ``T Y + Y T^ = C``, ``T`` upper triangular, solving only half of it
+    (Jonsson & Kagstrom, ACM TOMS 28, 416 (2002)): after the halved
+    Lyapunov block ``Y22``, the coupling ``Y12`` is one
+    ``_triangular_sylvester`` and ``Y21 = Y12^``.  Outside the diagonal
+    tiles, the part of ``C`` below the diagonal is written, never read."""
+    d = len(C)
+    if d <= SYLVESTER_TILE:
+        _triangular_sylvester(T, T, C)
+        return
+    from scipy.linalg.blas import zgemm  # deferred, as in steady_state
+
+    k = d // 2
+    T12 = T[:k, k:]
+    _triangular_lyapunov(T[k:, k:], C[k:, k:])
+    C[:k, k:] = zgemm(-1.0, T12, C[k:, k:], 1.0, C[:k, k:])
+    _triangular_sylvester(T[:k, :k], T[k:, k:], C[:k, k:])
+    W = zgemm(1.0, T12, C[:k, k:], trans_b=2)
+    C[:k, :k] -= W + W.conj().T
+    _triangular_lyapunov(T[:k, :k], C[:k, :k])
+    C[k:, :k] = C[:k, k:].conj().T
+
+
 def _sylvester_inverse(P: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """``vec(R) -> vec(X)`` with ``P X + X P^ = R``, from one complex Schur
-    form ``P = U T U^`` (Schur, not eigenvectors: ``H_eff`` may be
-    defective), so that each solve is ``T Y + Y T^ = U^ R U``
-    (``_triangular_sylvester``)."""
-    from scipy.linalg import schur  # deferred, as in steady_state
+    """``vec(R) -> vec(X)`` with ``P X + X P^ = R`` for a Hermitian ``R``,
+    from one complex Schur form ``P = U T U^`` (Schur, not eigenvectors:
+    ``H_eff`` may be defective), so that each solve is the Lyapunov equation
+    ``T Y + Y T^ = U^ R U`` (``_triangular_lyapunov``).  Every product is
+    scipy's ``zgemm``, on the BLAS pool that ``schur`` and ``ztrsyl`` use."""
+    # deferred, as in steady_state
+    from scipy.linalg import schur
+    from scipy.linalg.blas import zgemm
 
     d = P.shape[0]
     T, U = schur(P, output="complex")
-    UH = U.conj().T
 
     def solve(r: np.ndarray) -> np.ndarray:
-        y = UH @ r.reshape(d, d) @ U
-        _triangular_sylvester(T, T, y)
-        return (U @ y @ UH).reshape(-1)
+        # r.reshape(d, d).T is R^T in Fortran order: zgemm reads it in place
+        y = zgemm(1.0, U, zgemm(1.0, r.reshape(d, d).T, U, trans_a=1), trans_a=2)
+        _triangular_lyapunov(T, y)
+        return zgemm(1.0, zgemm(1.0, U, y), U, trans_b=2).reshape(-1)
 
     return solve
+
+
+def _gmres(A: sp.spmatrix, b: np.ndarray, x0: np.ndarray, M: Callable[[np.ndarray], np.ndarray]):
+    """``(x, info)`` for ``A x = b`` by restarted GMRES, right-preconditioned
+    by ``M`` (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856 (1986)):
+    at most ``STEADY_GMRES_MAXITER`` cycles of at most
+    ``STEADY_GMRES_RESTART`` Arnoldi steps on ``A M``, each orthogonalized
+    by classical Gram-Schmidt run twice, and then ``x += M(V y)`` with
+    ``V`` the Krylov basis, so a component of ``x0`` that no ``M(V y)``
+    reaches survives.  ``info`` is 0 once the true residual
+    ``||b - A x||`` is at most ``STEADY_GMRES_RTOL ||b||``, else 1.  A
+    cycle ends early on a small Arnoldi residual estimate or a happy
+    breakdown.  The dense work is scipy's BLAS, on the pool the
+    preconditioner uses."""
+    from scipy.linalg.blas import dgemv, dnrm2, dtrsv  # deferred, as in steady_state
+    from scipy.linalg.lapack import dlartg
+
+    m = STEADY_GMRES_RESTART
+    tol = STEADY_GMRES_RTOL * dnrm2(b)
+    V = np.empty((len(b), m + 1), order="F")
+    x = x0.copy()
+    r = b - A @ x
+    for _ in range(STEADY_GMRES_MAXITER):
+        beta = dnrm2(r)
+        if beta <= tol:
+            return x, 0
+        V[:, 0] = r / beta
+        H = np.zeros((m + 1, m), order="F")
+        rot = np.zeros((m, 2))
+        g = np.zeros(m + 1)
+        g[0] = beta
+        for j in range(m):
+            w = A @ M(V[:, j])
+            for _ in range(2):
+                h = dgemv(1.0, V[:, : j + 1], w, trans=1)
+                w = dgemv(-1.0, V[:, : j + 1], h, beta=1.0, y=w, overwrite_y=1)
+                H[: j + 1, j] += h
+            hn = dnrm2(w)
+            for i, (c, s) in enumerate(rot[:j]):
+                H[i, j], H[i + 1, j] = c * H[i, j] + s * H[i + 1, j], c * H[i + 1, j] - s * H[i, j]
+            c, s, H[j, j] = dlartg(H[j, j], hn)
+            rot[j] = c, s
+            g[j], g[j + 1] = c * g[j], -s * g[j]
+            if hn == 0.0 or abs(g[j + 1]) <= tol:
+                break
+            V[:, j + 1] = w / hn
+        k = j + 1
+        x += M(dgemv(1.0, V[:, :k], dtrsv(H[:k, :k], g[:k])))
+        r = b - A @ x
+    return x, int(not dnrm2(r) <= tol)  # NaN fails too
 
 
 def steady_state(generator: Superoperator) -> DensityState:
@@ -1136,9 +1215,10 @@ def steady_state(generator: Superoperator) -> DensityState:
     refused as ``evolve_density`` refuses it.
 
     The real generator's first row (redundant by trace preservation)
-    becomes the trace functional, and ``A x = e_0`` is solved by GMRES as
-    in QuTiP's "iterative-gmres" ``steadystate``; the same path runs at
-    every size.  The preconditioner is the exact inverse of the Sylvester
+    becomes the trace functional, and ``A x = e_0`` is solved by
+    right-preconditioned GMRES (``_gmres``), as QuTiP's "iterative-gmres"
+    ``steadystate`` solves it by a left-preconditioned one; the same path
+    runs at every size.  The preconditioner is the exact inverse of the Sylvester
     part ``rho -> P rho + rho P^`` (``_sylvester_part``: the no-jump
     evolution; for vacuum and coherent inputs the jump terms left to GMRES
     only lower the excitation number), shifted by ``STEADY_SHIFT * ||A||_1``
@@ -1154,9 +1234,9 @@ def steady_state(generator: Superoperator) -> DensityState:
     * a residual ``||L rho||`` above ``STEADY_RESIDUAL_TOL * ||A||_1``
       means it is trivial.
     """
-    # deferred: only a steady state needs the dense and iterative solvers,
-    # and importing them is a large share of a short request
-    import scipy.sparse.linalg as spla
+    # deferred: only a steady state needs the dense solvers, and importing
+    # them is a large share of a short request
+    from scipy.linalg.blas import dnrm2
 
     _require_density_generator(generator, "steady_state")
     if not generator.is_static:
@@ -1169,23 +1249,24 @@ def steady_state(generator: Superoperator) -> DensityState:
     # a diagonal entry of rho is its own coordinate, so the row reads both
     trace_row = sp.csr_matrix((np.ones(d), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))), shape=(1, n))
     A = sp.vstack([trace_row, R[1:]], format="csr")
-    scale = max(1.0, spla.norm(sp.vstack([trace_row, M[1:]]), 1))
+    scale = max(1.0, abs(sp.vstack([trace_row, M[1:]])).sum(axis=0).max())  # ||.||_1
     P = _sylvester_part(M, d)
     P[np.diag_indices(d)] -= 0.5 * STEADY_SHIFT * scale  # P and P^ each take half of the shift
     solve = _sylvester_inverse(P)
-    precond = spla.LinearOperator(A.shape, lambda x: coords.project(solve(coords.to_complex(x))), dtype=np.float64)
+
+    def precond(v):
+        # v is real coordinates, so solve gets a Hermitian matrix
+        return coords.project(solve(coords.to_complex(v)))
+
     b = np.eye(1, n)[0]
     z = np.random.default_rng(0).standard_normal(n)
-    starts = (np.zeros(n), z / np.linalg.norm(z))
+    starts = (np.zeros(n), z / dnrm2(z))
     solves = []
     for x0 in starts:
-        x, info = spla.gmres(
-            A, b, x0=x0, M=precond, rtol=STEADY_GMRES_RTOL, atol=0.0,
-            restart=STEADY_GMRES_RESTART, maxiter=STEADY_GMRES_MAXITER,
-        )
+        x, info = _gmres(A, b, x0, precond)
         if info != 0 or not np.all(np.isfinite(x)):
             raise SteadyStateError(
-                f"steady-state GMRES did not converge (residual |A rho - e_0| = {np.linalg.norm(A @ x - b):.3e}); "
+                f"steady-state GMRES did not converge (residual |A rho - e_0| = {dnrm2(A @ x - b):.3e}); "
                 "the null space dimension may not be 1"
             )
         solves.append(x)
@@ -1196,7 +1277,7 @@ def steady_state(generator: Superoperator) -> DensityState:
             "non-unique steady state: null space dimension is not 1 "
             f"(solves from two starts differ by {spread:.3e})"
         )
-    resid = np.linalg.norm(R @ x)  # = ||L rho||: the coordinates are isometric
+    resid = dnrm2(R @ x)  # = ||L rho||: the coordinates are isometric
     if resid > STEADY_RESIDUAL_TOL * scale:
         raise SteadyStateError(
             f"no steady state: Liouvillian has trivial null space (residual |L rho| = {resid:.3e})"

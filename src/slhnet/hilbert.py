@@ -671,11 +671,13 @@ def _factor(A) -> tuple[spla.SuperLU | None, float]:
 
 
 def _entries(m: sp.csr_matrix) -> list:
-    """``[row, col, re, im]`` of every stored entry, in row-major order."""
+    """``[row, col, re, im]`` of every stored entry, in row-major order; a
+    zero part is written as ``0.0`` whatever its sign, so equal operators
+    serialize to equal bytes."""
     c = m.tocoo()
     k = np.lexsort((c.col, c.row))
     return list(map(list, zip(c.row[k].tolist(), c.col[k].tolist(),
-                              c.data.real[k].tolist(), c.data.imag[k].tolist())))
+                              (c.data.real[k] + 0.0).tolist(), (c.data.imag[k] + 0.0).tolist())))
 
 
 def _from_entries(entries, d: int) -> sp.csr_matrix:

@@ -263,23 +263,30 @@ def extract_linear(g: SLHTriple, tol: float = TOL_LIN) -> LinearModel:
 # frequency domain
 
 
-def _shifted(A: np.ndarray, s: complex) -> np.ndarray:
-    """sI - A, refusing an s at (or numerically at) an eigenvalue of A."""
+def _shifted(A: np.ndarray, s) -> np.ndarray:
+    """sI - A, stacked along the axes of an array ``s``, from one
+    eigenvalue computation; an s at (or numerically at) an eigenvalue of A
+    is refused."""
+    s = np.asarray(s, dtype=complex)
     lam = np.linalg.eigvals(A)
     scale = max(1.0, float(np.abs(lam).max()) if lam.size else 1.0)
-    if np.min(np.abs(s - lam)) < 1e-12 * scale:
-        raise ValidationError(f"s = {s} is a pole (an eigenvalue of A)")
-    return s * np.eye(A.shape[0]) - A
+    poles = np.flatnonzero(np.abs(s[..., None] - lam).min(axis=-1, initial=np.inf) < 1e-12 * scale)
+    if poles.size:
+        raise ValidationError(f"s = {complex(s.flat[poles[0]])} is a pole (an eigenvalue of A)")
+    return s[..., None, None] * np.eye(A.shape[0]) - A
 
 
-def _tf(A, B, C, D, s: complex) -> np.ndarray:
-    return D + C @ np.linalg.solve(_shifted(A, s), B)
+def _tf(A, B, C, D, s) -> np.ndarray:
+    S = _shifted(A, s)
+    # B as a stack too: numpy < 2 reads a 2-D B beside a 3-D S as vectors
+    return D + C @ np.linalg.solve(S, np.broadcast_to(B, S.shape[:-1] + B.shape[-1:]))
 
 
-def transfer_function(model: LinearModel, s: complex) -> np.ndarray:
+def transfer_function(model: LinearModel, s) -> np.ndarray:
     """Xi(s) = D + C (sI - A)^-1 B; with B = -C^dag D (passive) or
-    B = -C^flat D (active) this is the loss-less scattering response."""
-    return _tf(model.A, model.B, model.C, model.D, complex(s))
+    B = -C^flat D (active) this is the loss-less scattering response.  An
+    array of s gives the stack of Xi(s), from one batched solve."""
+    return _tf(model.A, model.B, model.C, model.D, s)
 
 
 def initial_condition_response(model: LinearModel, s: complex) -> np.ndarray:

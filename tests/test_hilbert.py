@@ -309,6 +309,13 @@ class TestCoefficient:
         data = json.loads(operator_to_json(destroy("m", 3).scaled_by(env).dag()))
         assert data["terms"][0]["coefficient"] == {"shape": "product", "factors": [{"envelope": env.to_dict(), "conj": True}]}
 
+    def test_zero_parts_serialize_without_a_sign(self):
+        # the adjoint of a real operator stores -0.0 imaginary parts
+        a = destroy("m", 3)
+        assert operator_to_json(a.dag()) == operator_to_json(Operator(a.space, a.dag().constant().real))
+        for op in (a, a.dag()):
+            assert "-0.0" not in operator_to_json(op)
+
 
 class TestPartialTrace:
     def test_product_state_marginal(self):

@@ -108,6 +108,19 @@ class TestTransferFunction:
         with pytest.raises(ValidationError, match="pole"):
             transfer_function(mod, -1.0)  # s = A = -gamma/2
 
+    def test_array_of_s_is_the_stack_of_scalar_answers(self):
+        mod = extract_linear(opo_feedback_network(2.0, 0.3, 0.6))
+        s = 1j * np.linspace(-3.0, 3.0, 7)
+        got = transfer_function(mod, s)
+        assert got.shape == (7,) + mod.D.shape
+        for z, Xi in zip(s, got):
+            assert np.array_equal(Xi, transfer_function(mod, z))
+
+    def test_pole_in_an_array_is_named(self):
+        mod = extract_linear(one_sided_cavity(2.0, 0.0, truncation=5, label="c"))
+        with pytest.raises(ValidationError, match=r"s = \(-1\+0j\) is a pole"):
+            transfer_function(mod, np.array([0.5j, -1.0, 2.0]))
+
     def test_quadrature_diagonal_squeezer(self):
         kappa, eps, eta = 2.0, 0.3, 0.6
         l = eta / (1 + np.sqrt(1 - eta**2))

@@ -21,7 +21,7 @@ from scipy.sparse.csgraph import connected_components
 
 from conftest import random_hermitian, random_unitary
 
-from slhnet import slh
+from slhnet import dynamics, slh
 from slhnet.cli import main
 from slhnet.components import one_sided_cavity
 from slhnet.dynamics import (
@@ -30,10 +30,12 @@ from slhnet.dynamics import (
     GaussianEnv,
     Superoperator,
     _density_guard,
+    _gmres,
     _negative_eigenvalue,
     _RealCoordinates,
     _sylvester_inverse,
     _sylvester_part,
+    _triangular_lyapunov,
     _triangular_sylvester,
     evolve_density,
     liouvillian,
@@ -424,7 +426,7 @@ class TestSteadyStateContract:
         assert np.array_equal(rho, rho.conj().T)
 
     def test_gmres_failure_raises_without_fallback(self, monkeypatch):
-        monkeypatch.setattr(spla, "gmres", lambda A, b, x0, **kw: (x0, 1))
+        monkeypatch.setattr(dynamics, "_gmres", lambda A, b, x0, M: (x0, 1))
         gen = liouvillian_coherent(one_sided_cavity(1.0, 0.0, truncation=4, label="c"), 0.3)
         with pytest.raises(SteadyStateError, match="did not converge.*dimension"):
             steady_state(gen)
@@ -491,7 +493,8 @@ class TestTriangularSylvester:
     """The recursive blocked solve of ``A X + X B^ = C`` gives LAPACK's
     unblocked ``ztrsyl`` answer, on both sides of the tile size."""
 
-    def _triangular(self, rng, d):
+    @staticmethod
+    def _triangular(rng, d):
         # a spectrum in the left half-plane, as a no-jump part's
         t = np.triu(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
         t[np.diag_indices(d)] = -rng.uniform(0.5, 3.0, d) + 1j * rng.normal(size=d)
@@ -524,8 +527,76 @@ class TestTriangularSylvester:
         X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) - 3 * np.sqrt(2 * d) * np.eye(d)
         M = (spre(space, Operator(space, X)) + spost(space, Operator(space, X.conj().T))).static
         solve = _sylvester_inverse(_sylvester_part(M, d))
-        v = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+        # Hermitian, as every right-hand side steady_state hands the solve
+        v = vectorize(random_hermitian(rng, space).static.toarray())
         assert np.abs(solve(M @ v) - v).max() < 1e-12 * np.abs(v).max()
+
+
+class TestTriangularLyapunov:
+    """The Hermitian recursion solves ``T Y + Y T^ = C`` as the blocked
+    Sylvester solve does, and its answer is exactly Hermitian."""
+
+    def _check(self, T, rng):
+        d = len(T)
+        C = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        C += C.conj().T
+        want = C.copy()
+        _triangular_sylvester(T, T, want)
+        Y = C.copy()
+        _triangular_lyapunov(T, Y)
+        assert np.abs(Y - want).max() < 1e-12 * np.abs(want).max()
+        assert np.array_equal(Y, Y.conj().T)
+
+    @pytest.mark.parametrize("d", [31, 32, 33, 81, 225])
+    def test_matches_sylvester(self, rng, d):
+        self._check(TestTriangularSylvester._triangular(rng, d), rng)
+
+    def test_matches_sylvester_on_the_defective_cascade_schur_factor(self, rng):
+        gen, _ = _driven_cascade((2.0, 0.5), (2.0, 0.5), 8)
+        T, _ = sla.schur(_sylvester_part(gen.static, gen.dim), output="complex")
+        self._check(T, rng)
+
+
+class TestGmres:
+    """The steady state's right-preconditioned restarted GMRES."""
+
+    def _system(self, rng, n):
+        # nonsymmetric, with singular values in [1, 3]
+        Q1, Q2 = (np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(2))
+        return (Q1 * rng.uniform(1.0, 3.0, n)) @ Q2.T
+
+    @pytest.mark.parametrize("precond", ["none", "jacobi"])
+    def test_matches_dense_solve(self, rng, precond):
+        n = 60
+        A = self._system(rng, n)
+        b = rng.normal(size=n)
+        M = (lambda v: v) if precond == "none" else (lambda v: v / np.diag(A))
+        x, info = _gmres(sp.csr_matrix(A), b, rng.normal(size=n), M)
+        assert info == 0
+        assert np.linalg.norm(b - A @ x) <= dynamics.STEADY_GMRES_RTOL * np.linalg.norm(b)
+        want = np.linalg.solve(A, b)
+        assert np.abs(x - want).max() < 1e-10 * np.abs(want).max()
+
+    def test_singular_consistent_system_keeps_the_start_null_component(self, rng):
+        n = 40
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        w = rng.uniform(1.0, 3.0, n)
+        w[0] = 0.0
+        A = (Q * w) @ Q.T  # null space spanned by Q[:, 0], orthogonal to the range
+        b = A @ rng.normal(size=n)
+        x0 = rng.normal(size=n)
+        x, info = _gmres(sp.csr_matrix(A), b, x0, lambda v: v)
+        assert info == 0
+        assert np.linalg.norm(b - A @ x) <= dynamics.STEADY_GMRES_RTOL * np.linalg.norm(b)
+        assert abs(Q[:, 0] @ x - Q[:, 0] @ x0) < 1e-12
+
+    def test_exhausted_cycles_return_nonzero_info(self, rng, monkeypatch):
+        monkeypatch.setattr(dynamics, "STEADY_GMRES_RESTART", 3)
+        monkeypatch.setattr(dynamics, "STEADY_GMRES_MAXITER", 2)
+        n = 60
+        x, info = _gmres(sp.csr_matrix(self._system(rng, n)), rng.normal(size=n), np.zeros(n), lambda v: v)
+        assert info != 0
+        assert np.all(np.isfinite(x))
 
 
 def _state_with_smallest_eigenvalue(rng, d: int, w_min: float) -> np.ndarray:
@@ -605,22 +676,22 @@ class TestSizeIndependence:
 
     def test_zero_start_preconditioner_work(self, monkeypatch):
         # a work counter, not a timing: the zero-start solve of the t8
-        # cascade applies the preconditioner 11 times
-        gmres, counts = spla.gmres, []
+        # cascade applies the preconditioner 6 times
+        gmres, counts = dynamics._gmres, []
 
-        def counting_gmres(A, b, x0, M, **kw):
+        def counting_gmres(A, b, x0, M):
             counts.append(0)
 
             def apply(r):
                 counts[-1] += 1
-                return M @ r
+                return M(r)
 
-            return gmres(A, b, x0=x0, M=spla.LinearOperator(A.shape, apply, dtype=M.dtype), **kw)
+            return gmres(A, b, x0, apply)
 
-        monkeypatch.setattr(spla, "gmres", counting_gmres)
+        monkeypatch.setattr(dynamics, "_gmres", counting_gmres)
         steady_state(_driven_cascade((2.0, 0.5), (3.0, -0.7), 8)[0])
         assert len(counts) == 2
-        assert counts[0] < 2 * 11
+        assert counts[0] < 2 * 6
 
     def test_ill_posed_wire_exits_3(self, tmp_path, capsys):
         # the ill-posed wire of test_cli, at a larger truncation
