@@ -9,11 +9,8 @@ error, 1 anything else.  All numeric output is locale-independent
 from __future__ import annotations
 
 import argparse
-import copy
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -312,7 +309,7 @@ def _run_simulation(res, args, drives):
 
 
 def cmd_simulate(args) -> int:
-    res = _compose(args.file)
+    nd = parse(_load(args.file))
     drives = _drives(args)
 
     def emit(triple, times, columns, out_path):
@@ -329,7 +326,6 @@ def cmd_simulate(args) -> int:
         _write(trajectory_json(times, columns, meta) + "\n", out_path)
 
     if args.sweep:
-        nd = parse(_load(args.file))
         try:
             target, rng = args.sweep.split("=", 1)
             inst_name, param = target.strip().rsplit(".", 1)
@@ -340,24 +336,18 @@ def cmd_simulate(args) -> int:
         if inst_name not in {inst.name for inst in nd.instances}:
             raise SLHNetError(f"--sweep names unknown instance {inst_name!r}")
 
-        def run_one(k_value):
-            k, value = k_value
-            nd_k = copy.deepcopy(nd)
-            nd_k.instance(inst_name).params[param] = float(value)
-            triple, times, columns = _run_simulation(elaborate(nd_k), args, drives)
+        base = args.output or "sweep.csv"
+        root, dot, ext = base.rpartition(".")
+        outs = []
+        for k, value in enumerate(values):
+            nd.instance(inst_name).params[param] = float(value)
             suffix = f"_{k:03d}"
-            base = args.output or "sweep.csv"
-            root, dot, ext = base.rpartition(".")
-            out = (root + suffix + dot + ext) if dot else base + suffix
-            emit(triple, times, columns, out)
-            return out
-
-        with ThreadPoolExecutor(max_workers=min(len(values), os.cpu_count() or 1)) as pool:
-            outs = list(pool.map(run_one, enumerate(values)))
+            outs.append((root + suffix + dot + ext) if dot else base + suffix)
+            emit(*_run_simulation(elaborate(nd), args, drives), outs[-1])
         print("\n".join(outs))
         return 0
 
-    emit(*_run_simulation(res, args, drives), args.output)
+    emit(*_run_simulation(elaborate(nd), args, drives), args.output)
     return 0
 
 

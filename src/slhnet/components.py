@@ -405,7 +405,7 @@ def coherent_source(alpha, envelope: Envelope | None = None) -> SLHTriple:
     else:
         env = as_envelope(alpha)
     L = identity(LabeledSpace()).scaled_by(env)
-    return SLHTriple(1, [L], 0.0, metadata={"drive_envelope": env}, check=False)  # valid by construction
+    return SLHTriple(1, [L], 0.0, metadata={"drive_envelope": env})
 
 
 def coherent_source_cavity(alpha: complex, envelope: Envelope, truncation: int = DEFAULT_TRUNC, label: str = "src") -> SLHTriple:

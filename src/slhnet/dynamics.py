@@ -527,7 +527,7 @@ def _driven(g: SLHTriple, amplitudes: Mapping[int, object]) -> SLHTriple:
             raise ValidationError(f"drive amplitude must be finite, got {env.value}")
         sources.append(coherent_source(env).with_names(input_names=(g.input_names[port - 1],)))
     wires = [(k + 1, len(ports) + port) for k, port in enumerate(ports)]
-    return feedback_multi(concat(*sources, g, check=False), wires, check=False).triple
+    return feedback_multi(concat(*sources, g), wires).triple
 
 
 def liouvillian_coherent(g: SLHTriple, alpha, port: int = 1) -> Superoperator:

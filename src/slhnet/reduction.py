@@ -284,7 +284,6 @@ def eliminate(
         input_names=g.input_names,
         output_names=g.output_names,
         metadata={"eliminated_from": g.space.labels, "assumption_report": str(report)},
-        check=True,
         tol=max(unitarity_tol, TOL_OP),
     )
 

@@ -59,13 +59,13 @@ class SLHTriple:
     trivial space); entries must be time independent.  ``L`` entries and
     ``H`` may carry scalar-envelope time dependence.
 
-    ``check`` refuses a non-unitary S or a non-Hermitian H at ``tol`` and
-    symmetrizes H; a triple records that it passed, so that ``concat`` of
-    checked triples need not check again.
+    Every triple is valid: the constructor refuses a non-unitary S or a
+    non-Hermitian H at ``tol`` and symmetrizes H.  ``concat`` and
+    ``with_names``, whose results are valid by construction, build them
+    with :meth:`_valid`, which neither converts nor checks.
     """
 
-    __slots__ = ("n_ports", "space", "S", "L", "H", "input_names", "output_names", "metadata", "check_tol",
-                 "_checked")
+    __slots__ = ("n_ports", "space", "S", "L", "H", "input_names", "output_names", "metadata", "check_tol")
 
     def __init__(
         self,
@@ -75,7 +75,6 @@ class SLHTriple:
         input_names: Sequence[str] | None = None,
         output_names: Sequence[str] | None = None,
         metadata: dict | None = None,
-        check: bool = True,
         tol: float = TOL_OP,
     ):
         S = _as_operator_grid(S)
@@ -91,37 +90,38 @@ class SLHTriple:
             H.space, *(x.space for x in L), *(S[i, j].space for i in range(n) for j in range(n))
         )
         S = np.array([[S[i, j].embed(space) for j in range(n)] for i in range(n)], dtype=object).reshape(n, n)
-        L = [x.embed(space) for x in L]
-        H = H.embed(space)
+        if not all(x.is_static for x in S.flat):
+            raise CompositionError("time-dependent scattering entries are not supported")
 
-        for i in range(n):
-            for j in range(n):
-                if not S[i, j].is_static:
-                    raise CompositionError("time-dependent scattering entries are not supported")
+        self._set(S, [x.embed(space) for x in L], H.embed(space), input_names, output_names, metadata, tol)
+        resid = self.unitarity_residual()
+        if not resid <= tol:  # a NaN residual fails too
+            raise CompositionError(f"scattering matrix is not unitary: residual {resid:.3e}")
+        self.H = _symmetrized(self.H, tol)
 
+    @classmethod
+    def _valid(cls, S, L, H, input_names, output_names, metadata, tol) -> "SLHTriple":
+        """A triple from fields that already form a valid one on ``H.space``."""
+        return object.__new__(cls)._set(S, L, H, input_names, output_names, metadata, tol)
+
+    def _set(self, S, L, H, input_names, output_names, metadata, tol) -> "SLHTriple":
+        n = S.shape[0]
         if input_names is None:
             input_names = tuple(f"in{k + 1}" for k in range(n))
         if output_names is None:
             output_names = tuple(f"out{k + 1}" for k in range(n))
         if len(input_names) != n or len(output_names) != n:
             raise CompositionError("port name lists must match the port count")
-
         self.n_ports = n
-        self.space = space
+        self.space = H.space
         self.S = S
         self.L = tuple(L)
+        self.H = H
         self.input_names = tuple(str(s) for s in input_names)
         self.output_names = tuple(str(s) for s in output_names)
         self.metadata = dict(metadata or {})
         self.check_tol = float(tol)
-
-        if check:
-            resid = self.unitarity_residual()
-            if not resid <= tol:  # a NaN residual fails too
-                raise CompositionError(f"scattering matrix is not unitary: residual {resid:.3e}")
-            H = _symmetrized(H, tol)
-        self.H = H
-        self._checked = check
+        return self
 
     # -- checks -------------------------------------------------------------
 
@@ -156,18 +156,16 @@ class SLHTriple:
         return self.H.is_static and all(x.is_static for x in self.L)
 
     def with_names(self, input_names=None, output_names=None, metadata=None) -> "SLHTriple":
-        out = SLHTriple(
+        """The same S, L and H under new port names, with ``metadata`` merged in."""
+        return SLHTriple._valid(
             self.S,
             self.L,
             self.H,
-            input_names=input_names or self.input_names,
-            output_names=output_names or self.output_names,
-            metadata={**self.metadata, **(metadata or {})},
-            check=False,
-            tol=self.check_tol,
+            input_names or self.input_names,
+            output_names or self.output_names,
+            {**self.metadata, **(metadata or {})},
+            self.check_tol,
         )
-        out._checked = self._checked
-        return out
 
     def __repr__(self):
         return f"SLHTriple(n_ports={self.n_ports}, space={self.space!r})"
@@ -289,7 +287,7 @@ def permutation_triple(sigma: Sequence[int], space: LabeledSpace | None = None) 
     for i in range(n):
         for j in range(n):
             S[i, j] = eye if P[i, j] else zero_op
-    return SLHTriple(S, [zero_op] * n, zero_op, check=False)
+    return SLHTriple(S, [zero_op] * n, zero_op)
 
 
 # --------------------------------------------------------------------------
@@ -300,7 +298,7 @@ def _inherit_tol(*gs: SLHTriple) -> float:
     return max([TOL_OP] + [g.check_tol for g in gs])
 
 
-def series(g2: SLHTriple, g1: SLHTriple, check: bool = True) -> SLHTriple:
+def series(g2: SLHTriple, g1: SLHTriple) -> SLHTriple:
     """Cascade g1 into g2 (read right to left, like operator products):
 
         (S2 S1,  L2 + S2 L1,  H1 + H2 + (L2^ S2 L1 - L1^ S2^ L2) / 2i)
@@ -314,19 +312,19 @@ def series(g2: SLHTriple, g1: SLHTriple, check: bool = True) -> SLHTriple:
         )
     n = g1.n_ports
     wiring = [(k, n + k) for k in range(1, n + 1)]
-    return feedback_multi(concat(g1, g2, check=False), wiring, check=check).triple
+    return feedback_multi(concat(g1, g2), wiring).triple
 
 
-def concat(*triples: SLHTriple, check: bool = True) -> SLHTriple:
+def concat(*triples: SLHTriple) -> SLHTriple:
     """Parallel composition of any number of triples: block-diagonal S,
     stacked L, H summed left to right.
 
-    Each operator is lifted once into the union space.  With ``check``,
-    the result is checked once, unless every operand passed its own
-    check: then S^dag S - I is block diagonal with the operands' residuals
-    as blocks, each within its tol <= the inherited one, and a sum of
-    exactly Hermitian (symmetrized) H is exactly Hermitian, which
-    symmetrizing again would return bit for bit.
+    Each operator is lifted once into the union space.  The result is
+    valid by construction, so it is not checked: S^dag S - I is block
+    diagonal with the operands' residuals as blocks, each within its
+    tol <= the inherited one, and a sum of exactly Hermitian (symmetrized)
+    H is exactly Hermitian, which symmetrizing again would return bit for
+    bit.
     """
     if not triples:
         raise CompositionError("concat needs at least one triple")
@@ -342,21 +340,18 @@ def concat(*triples: SLHTriple, check: bool = True) -> SLHTriple:
         L += [x.embed(space) for x in g.L]
         offset += g.n_ports
     H = sum((g.H.embed(space) for g in triples[1:]), triples[0].H.embed(space))
-    checked = all(g._checked for g in triples)
-    out = SLHTriple(
+    return SLHTriple._valid(
         S,
         L,
         H,
-        input_names=sum((g.input_names for g in triples), ()),
-        output_names=sum((g.output_names for g in triples), ()),
-        check=check and not checked,
-        tol=_inherit_tol(*triples),
+        sum((g.input_names for g in triples), ()),
+        sum((g.output_names for g in triples), ()),
+        None,
+        _inherit_tol(*triples),
     )
-    out._checked = check or checked
-    return out
 
 
-def direct_couple(g1: SLHTriple, g2: SLHTriple, h_int: Operator, check: bool = True) -> SLHTriple:
+def direct_couple(g1: SLHTriple, g2: SLHTriple, h_int: Operator) -> SLHTriple:
     """Concatenation with an added interaction Hamiltonian.
 
     The interaction is attributed to the first operand; both operands
@@ -364,21 +359,13 @@ def direct_couple(g1: SLHTriple, g2: SLHTriple, h_int: Operator, check: bool = T
     """
     if not h_int.is_hermitian():
         raise CompositionError("direct coupling requires a Hermitian interaction")
-    out = concat(g1, g2, check=check)
-    H = out.H + h_int.embed(out.space)
-    return SLHTriple(
-        out.S,
-        out.L,
-        H,
-        input_names=out.input_names,
-        output_names=out.output_names,
-        metadata={"direct_coupling_operands": (g1.input_names, g2.input_names)},
-        check=check,
-        tol=_inherit_tol(g1, g2),
-    )
+    out = concat(g1, g2)
+    meta = {"direct_coupling_operands": (g1.input_names, g2.input_names)}
+    return SLHTriple(out.S, out.L, out.H + h_int.embed(out.space), out.input_names, out.output_names, meta,
+                     tol=out.check_tol)
 
 
-def pad(g: SLHTriple, n_extra: int, position: str = "after", check: bool = True) -> SLHTriple:
+def pad(g: SLHTriple, n_extra: int, position: str = "after") -> SLHTriple:
     """Concatenate with the trivial n_extra-channel padding element."""
     if n_extra < 0:
         raise CompositionError(f"n_extra must be >= 0, got {n_extra}")
@@ -386,13 +373,13 @@ def pad(g: SLHTriple, n_extra: int, position: str = "after", check: bool = True)
         return g
     pad_el = identity_triple(n_extra)
     if position == "after":
-        return concat(g, pad_el, check=check)
+        return concat(g, pad_el)
     if position == "before":
-        return concat(pad_el, g, check=check)
+        return concat(pad_el, g)
     raise CompositionError(f"position must be 'before' or 'after', got {position!r}")
 
 
-def permute_ports(g: SLHTriple, sigma: Sequence[int], which: str = "outputs", check: bool = True) -> SLHTriple:
+def permute_ports(g: SLHTriple, sigma: Sequence[int], which: str = "outputs") -> SLHTriple:
     """Reroute ports with a permuting scatterer: port k goes to sigma[k-1].
 
     ``which`` selects whether the outputs, the inputs, or both sides are
@@ -402,18 +389,18 @@ def permute_ports(g: SLHTriple, sigma: Sequence[int], which: str = "outputs", ch
         raise CompositionError("permutation length must equal the port count")
     perm = permutation_triple(sigma)
     if which == "outputs":
-        out = series(perm, g, check=check)
+        out = series(perm, g)
         names = [None] * g.n_ports
         for k, target in enumerate(sigma):
             names[target - 1] = g.output_names[k]
         return out.with_names(output_names=tuple(names))
     if which == "inputs":
         # input k of the result feeds original input sigma[k-1]
-        out = series(g, perm, check=check)
+        out = series(g, perm)
         names = [g.input_names[s - 1] for s in sigma]
         return out.with_names(input_names=tuple(names))
     if which == "both":
-        return permute_ports(permute_ports(g, sigma, "outputs", check), sigma, "inputs", check)
+        return permute_ports(permute_ports(g, sigma, "outputs"), sigma, "inputs")
     raise CompositionError(f"which must be 'outputs', 'inputs' or 'both', got {which!r}")
 
 
@@ -518,7 +505,7 @@ def _packed_solve(lu, labels: np.ndarray, n_comp: int, rhs: sp.csc_matrix) -> sp
     return sp.csr_matrix((x[out_rows, out_colours], cols[out_rows, out_colours], indptr), shape=(kd, n))
 
 
-def feedback_multi(g: SLHTriple, wiring, check: bool = True) -> FeedbackResult:
+def feedback_multi(g: SLHTriple, wiring) -> FeedbackResult:
     """Close several output -> input links of one triple simultaneously.
 
     The eliminated ports are brought into block-contiguous form
@@ -622,17 +609,16 @@ def feedback_multi(g: SLHTriple, wiring, check: bool = True) -> FeedbackResult:
         H_red,
         input_names=tuple(g.input_names[j] for j in ybar),
         output_names=tuple(g.output_names[i] for i in xbar),
-        check=check,
         tol=_inherit_tol(g),
     )
     return FeedbackResult(triple, out_map, in_map)
 
 
-def feedback(g: SLHTriple, x: int, y: int, check: bool = True) -> FeedbackResult:
+def feedback(g: SLHTriple, x: int, y: int) -> FeedbackResult:
     """Close the single internal link: output port x into input port y."""
     if g.n_ports < 2:
         raise CompositionError("feedback needs at least two ports")
-    return feedback_multi(g, [(x, y)], check=check)
+    return feedback_multi(g, [(x, y)])
 
 
 # --------------------------------------------------------------------------
@@ -668,7 +654,7 @@ def triple_to_dict(g: SLHTriple) -> dict:
 
 
 def triple_from_dict(data: dict) -> SLHTriple:
-    """Inverse of :func:`triple_to_dict`."""
+    """Inverse of :func:`triple_to_dict`; the triple is checked like any other."""
     n = data["n_ports"]
     S = np.empty((n, n), dtype=object)
     for i in range(n):
@@ -676,9 +662,7 @@ def triple_from_dict(data: dict) -> SLHTriple:
             S[i, j] = operator_from_dict(data["S"][i][j])
     L = [operator_from_dict(x) for x in data["L"]]
     H = operator_from_dict(data["H"])
-    return SLHTriple(
-        S, L, H, input_names=data["input_names"], output_names=data["output_names"], check=False
-    )
+    return SLHTriple(S, L, H, input_names=data["input_names"], output_names=data["output_names"])
 
 
 def triple_to_json(g: SLHTriple) -> str:

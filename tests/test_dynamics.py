@@ -228,8 +228,7 @@ class TestDrivenTriple:
 
         g = _operator_valued_two_port(rng)
         for port in (1, 2):
-            wired = feedback_multi(concat(coherent_source(0.3 - 0.2j), g, check=False),
-                                   [(1, port + 1)], check=False).triple
+            wired = feedback_multi(concat(coherent_source(0.3 - 0.2j), g), [(1, port + 1)]).triple
             got, want = liouvillian(_driven(g, {port: 0.3 - 0.2j})).static, liouvillian(wired).static
             assert (got != want).nnz == 0
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slhnet.envelopes import GaussianPulse, ScaledEnvelope, SquarePulse
@@ -26,7 +26,19 @@ from slhnet.hilbert import (
     operator_to_json,
 )
 from slhnet.netlang import _TOKEN, elaborate, parse
-from slhnet.slh import SLHTriple, _indent2, concat, triple_to_dict, triple_to_json, triples_close
+from slhnet.slh import (
+    SLHTriple,
+    _indent2,
+    concat,
+    direct_couple,
+    feedback_multi,
+    pad,
+    permute_ports,
+    series,
+    triple_to_dict,
+    triple_to_json,
+    triples_close,
+)
 
 from conftest import random_hermitian, random_unitary
 
@@ -133,8 +145,8 @@ def _triple(rng, label, dim, n_ports, pulsed):
     """Random triple on one mode: scalar unitary S, L linear in a/a^dag and
     Hermitian H, with envelope terms in L and H when ``pulsed``.
 
-    Symmetrizing H at each checked concatenation keeps one term per
-    coefficient, so nested concatenations have the n-ary one's term layout."""
+    The constructor symmetrizes H, which keeps one term per coefficient,
+    so nested concatenations have the n-ary one's term layout."""
     a = destroy(label, dim)
     env = GaussianPulse(t0=2.0, sigma=0.7)
     U = random_unitary(rng, n_ports)
@@ -148,7 +160,7 @@ def _triple(rng, label, dim, n_ports, pulsed):
     if pulsed:
         h = complex(*rng.normal(size=2)) * (a * a).scaled_by(env)
         H = H + h + h.dag()
-    return SLHTriple(S, L, H, check=False)
+    return SLHTriple(S, L, H)
 
 
 @st.composite
@@ -180,17 +192,48 @@ def test_nary_concat_is_close_to_right_fold(gs):
 @PROPERTY
 @given(three_triples(), st.integers(0, 2), st.sampled_from(["S", "H"]))
 def test_nary_concat_checks_unchecked_parts(gs, bad, part):
+    # a broken operand is refused where it is made, so concat never sees one
     g = gs[bad]
-    if part == "S":
-        broken = SLHTriple(1.5 * g.S, g.L, g.H, check=False)
-        match = "not unitary"
-    else:
-        (label,) = g.space.labels
-        a = destroy(label, g.space.total_dim)
-        broken = SLHTriple(g.S, g.L, g.H + a, check=False)
-        match = "anti-Hermitian"
-    with pytest.raises(CompositionError, match=match):
-        concat(*(broken if k == bad else x for k, x in enumerate(gs)))
+    (label,) = g.space.labels
+    with pytest.raises(CompositionError, match="not unitary" if part == "S" else "anti-Hermitian"):
+        if part == "S":
+            SLHTriple(1.5 * g.S, g.L, g.H)
+        else:
+            SLHTriple(g.S, g.L, g.H + destroy(label, g.space.total_dim))
+
+
+def _scalar_S(g) -> np.ndarray:
+    """The c-number matrix of a triple whose S entries are multiples of the identity."""
+    return np.array([[g.S[i, j].constant()[0, 0] for j in range(g.n_ports)] for i in range(g.n_ports)])
+
+
+@PROPERTY
+@given(three_triples(), st.data())
+def test_composition_results_are_valid(gs, data):
+    """Each rule of the algebra turns valid triples into a valid one:
+    S unitary within the inherited tol and H exactly Hermitian."""
+    a, b, c = gs
+    whole = concat(a, b, c)
+    n = whole.n_ports
+    outs = data.draw(st.permutations(range(1, n + 1)))[: data.draw(st.integers(1, n))]
+    ins = data.draw(st.permutations(range(1, n + 1)))[: len(outs)]
+    loop = np.eye(len(outs)) - _scalar_S(whole)[np.ix_([o - 1 for o in outs], [i - 1 for i in ins])]
+    assume(np.linalg.svd(loop, compute_uv=False).min() > 1e-3)  # no singular loop
+    k = max(a.n_ports, b.n_ports)
+    (la,), (lb,) = a.space.labels, b.space.labels
+    x = 0.3 * destroy(la, a.space.total_dim) * destroy(lb, b.space.total_dim).dag()
+    results = [
+        whole,
+        feedback_multi(whole, list(zip(outs, ins))).triple,
+        series(pad(b, k - b.n_ports), pad(a, k - a.n_ports, "before")),
+        pad(c, 2, "before"),
+        permute_ports(a, data.draw(st.permutations(range(1, a.n_ports + 1))),
+                      data.draw(st.sampled_from(["outputs", "inputs", "both"]))),
+        direct_couple(a, b, x + x.dag()),
+    ]
+    for g in results:
+        assert g.unitarity_residual() <= g.check_tol
+        assert g.hermiticity_residual() == 0.0
 
 
 # Floats that the two encoders could print differently if they did not

@@ -50,7 +50,7 @@ def pulsed_triple(rng, dim, n_ports):
         x = c1 * a + c2 * a.dag()
         L.append(x + x.scaled_by(PULSE))
     h = complex(*rng.normal(size=2)) * (a * a).scaled_by(PULSE)
-    return SLHTriple(S, L, random_hermitian(rng, a.space) + h + h.dag(), check=False)
+    return SLHTriple(S, L, random_hermitian(rng, a.space) + h + h.dag())
 
 
 @st.composite

@@ -198,7 +198,6 @@ class TestCommutativity:
                              unitarity_tol=1e-8),
             eliminate_triple(ga, projector_from_states(ga.space, {"cav": 0, "atom": None}),
                              unitarity_tol=1e-8),
-            check=False,
         )
         red_last = eliminate_triple(
             casc,

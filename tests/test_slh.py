@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,9 @@ from slhnet.slh import (
     triples_close,
     _symmetrized,
 )
+
+
+NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
 
 def cavity(gamma, delta, dim=6, label="c"):
@@ -121,9 +127,8 @@ def same_bits(x: Operator, y: Operator) -> bool:
 
 
 class TestCheckOnce:
-    """A triple records that it passed its check; concat of checked triples
-    builds its result without checking again, and any unchecked operand
-    brings the full check back."""
+    """Every triple passed its check where it was made; concat and
+    with_names build theirs from valid parts without checking again."""
 
     def operands(self):
         a = destroy("p", 3)
@@ -131,40 +136,35 @@ class TestCheckOnce:
         return [cavity(2.0, 0.5, label="c1"), beamsplitter(theta=0.3), phase_shifter(0.6), pulsed]
 
     @pytest.mark.parametrize("bad, message", [
-        (SLHTriple(2.0, [0.0], 0.0, check=False), "scattering matrix is not unitary: residual 3.000e+00"),
-        (SLHTriple(1, [0.0], 1j * number("q", 3), check=False), "anti-Hermitian residual 4.000e+00"),
+        ((2.0, [0.0], 0.0), "scattering matrix is not unitary: residual 3.000e+00"),
+        ((1, [0.0], 1j * number("q", 3)), "anti-Hermitian residual 4.000e+00"),
     ])
     def test_unchecked_operand_is_checked(self, bad, message):
-        with pytest.raises(CompositionError) as alone:
-            SLHTriple(bad.S, bad.L, bad.H)
-        with pytest.raises(CompositionError) as joined:
-            concat(cavity(1.0, 0.2), bad)
-        assert message in str(joined.value)
-        assert str(joined.value) == str(alone.value)
+        # a broken triple cannot be made, so it never reaches concat
+        with pytest.raises(CompositionError) as refused:
+            SLHTriple(*bad)
+        assert message in str(refused.value)
 
     def test_checked_operands_give_a_checked_result(self, monkeypatch):
+        import slhnet.slh as slh
+
         gs = self.operands()
-        assert all(g._checked for g in gs)
         calls = []
-        residual = SLHTriple.unitarity_residual
+        residual, symmetrized = SLHTriple.unitarity_residual, slh._symmetrized
         monkeypatch.setattr(SLHTriple, "unitarity_residual", lambda g: calls.append(g) or residual(g))
+        monkeypatch.setattr(slh, "_symmetrized", lambda H, tol: calls.append(H) or symmetrized(H, tol))
         g = concat(*gs)
+        renamed = g.with_names(input_names=tuple(f"x{k}" for k in range(g.n_ports)), metadata={"k": 1})
         assert calls == []
         monkeypatch.undo()
-        assert g._checked
+        assert renamed.input_names[0] == "x0" and renamed.metadata == {"k": 1}
         assert g.unitarity_residual() <= g.check_tol
         assert len(g.H.terms) == 2
         assert same_bits(_symmetrized(g.H, g.check_tol), g.H)
 
-    def test_unchecked_concat_of_checked_operands_is_checked(self):
-        assert concat(*self.operands(), check=False)._checked
-        assert not concat(cavity(1.0, 0.2), SLHTriple(1, [0.0], 0.0, check=False), check=False)._checked
-
-    def test_with_names_keeps_the_record(self):
-        g = cavity(1.0, 0.2)
-        assert g.with_names(input_names=("x",))._checked
-        unchecked = SLHTriple(1, [0.0], 0.0, check=False)
-        assert not unchecked.with_names(output_names=("y",))._checked
+    def test_with_names_refuses_a_wrong_length(self):
+        with pytest.raises(CompositionError, match="port name lists must match the port count"):
+            cavity(1.0, 0.2).with_names(output_names=("y", "z"))
 
     @pytest.mark.parametrize("phi", [float("nan"), 1e999])
     def test_non_finite_phase_is_refused(self, phi):
@@ -465,3 +465,36 @@ class TestInvariantsAndSerialization:
     def test_portmap_validation(self):
         with pytest.raises(CompositionError):
             PortMap.of([(1, 1), (1, 2)]).validate(2)
+
+
+class TestOutsideInput:
+    """A serialized triple comes from outside the program, so reading it
+    back runs the same check as any other construction."""
+
+    def tampered(self, part):
+        data = json.loads((NETWORKS / "golden" / "driven_cavity.slh.json").read_text())
+        if part == "S":
+            for entry in data["S"][0][0]["entries"]:
+                entry[2] *= 2.0
+        else:
+            data["H"]["entries"].append([0, 1, 1.0, 0.0])
+        return json.dumps(data)
+
+    @pytest.mark.parametrize("part, message", [
+        ("S", "scattering matrix is not unitary: residual 3.000e+00"),
+        ("H", "Hamiltonian has anti-Hermitian residual 1.000e+00"),
+    ])
+    def test_invalid_triple_is_refused(self, part, message):
+        with pytest.raises(CompositionError) as refused:
+            triple_from_json(self.tampered(part))
+        assert message in str(refused.value)
+
+    def test_goldens_round_trip(self):
+        goldens = sorted((NETWORKS / "golden").glob("*.slh.json"))
+        assert len(goldens) == 7
+        for golden in goldens:
+            text = golden.read_text()
+            back = triple_from_json(text)
+            assert triple_to_json(back) + "\n" == text, golden.name
+            want = elaborate(parse((NETWORKS / golden.name.replace(".slh.json", ".qnet")).read_text())).triple
+            assert triple_hash(back) == triple_hash(want), golden.name
